@@ -116,7 +116,7 @@ func main() {
 		scale      = flag.Bool("scale", false, "run the industrial-scale experiment")
 		engineMB   = flag.Bool("engine", false, "run the engine micro-benchmarks (steady-state throughput, expression eval)")
 		composeMB  = flag.Bool("compose", false, "run the compositional-vs-global experiment (16-module system)")
-		backendStr = flag.String("backend", "compiled", "engine backend for measured interpretations: compiled, event or naive")
+		backendStr = flag.String("backend", "compiled", "engine backend for measured interpretations: compiled or naive")
 		minJ       = flag.Int("min", 10, "Table 1 minimum job count")
 		maxJ       = flag.Int("max", 18, "Table 1 maximum job count")
 		maxStates  = flag.Int("max-states", 0, "state bound per Model Checking run (0 = default bound)")

@@ -32,6 +32,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"runtime"
 	"time"
@@ -117,6 +118,12 @@ func loadSpec(specPath, basePath string) (*campaign.Spec, error) {
 	})
 }
 
+// newPool builds the analysis pool that run and resume drive. It pins no
+// engine backend, so points run on the default compiled runtime.
+func newPool(workers int, lg *slog.Logger, st *store.Store) *jobs.Pool {
+	return jobs.New(jobs.Options{Workers: workers, Tool: "campaign", Logger: lg, Store: st})
+}
+
 func cmdRun(args []string) int {
 	fs := flag.NewFlagSet("campaign run", flag.ExitOnError)
 	specPath := fs.String("spec", "", "campaign spec JSON (required)")
@@ -142,7 +149,7 @@ func cmdRun(args []string) int {
 		return fail(err)
 	}
 	defer st.Close()
-	pool := jobs.New(jobs.Options{Workers: *workers, Tool: "campaign", Logger: lg, Store: st})
+	pool := newPool(*workers, lg, st)
 	defer pool.Close()
 	eng := campaign.NewEngine(pool, st, lg)
 
@@ -197,7 +204,7 @@ func cmdResume(args []string) int {
 		return fail(err)
 	}
 	defer st.Close()
-	pool := jobs.New(jobs.Options{Workers: *workers, Tool: "campaign", Logger: lg, Store: st})
+	pool := newPool(*workers, lg, st)
 	defer pool.Close()
 	eng := campaign.NewEngine(pool, st, lg)
 

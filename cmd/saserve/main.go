@@ -48,7 +48,7 @@
 // Usage:
 //
 //	saserve [-addr :8080] [-workers N] [-queue N] [-cache N] [-pprof]
-//	        [-engine-backend compiled|event|naive]
+//	        [-engine-backend compiled|naive]
 //	        [-store DIR] [-store-max-mb N] [-stuck-after D]
 //	        [-breaker-threshold N] [-faults PLAN] [-fault-seed N]
 //	        [-trace-spans N] [-trace-export FILE.jsonl] [-flight-depth N]
@@ -109,7 +109,7 @@ func main() {
 		faultSeed  = flag.Int64("fault-seed", 1, "fault injection RNG seed (deterministic per seed)")
 		stuckAfter = flag.Duration("stuck-after", 0, "watchdog deadline: kill and requeue jobs running longer than this (0 disables)")
 		breakAfter = flag.Int("breaker-threshold", 0, "consecutive store failures before the disk tier degrades to memory-only (0 = default 5)")
-		backendStr = flag.String("engine-backend", "compiled", "engine backend for analysis runs: compiled, event or naive")
+		backendStr = flag.String("engine-backend", "compiled", "engine backend for analysis runs: compiled or naive")
 
 		traceSpans  = flag.Int("trace-spans", obs.DefaultTraceSpans, "in-memory span collector capacity (0 disables tracing)")
 		traceExport = flag.String("trace-export", "", "append finished spans as JSON lines to this file (requires tracing)")

@@ -575,7 +575,7 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	counter("engine_heap_pops_total", "Stale deadline entries popped lazily.", c.HeapPops)
 	counter("engine_heap_stale_total", "Stale deadline entries dropped by compaction.", c.HeapStale)
 
-	// Compiled-backend counters (zero under the event backend).
+	// Compiled-backend counters (zero under the naive backend).
 	counter("engine_guard_bytecode_total", "Guard evaluations through bytecode or inlined comparisons.", c.GuardBytecode)
 	counter("engine_deadline_recomputes_total", "Per-automaton deadline recomputations (compiled runtime).", c.DeadlineRecomputes)
 	counter("engine_enabled_unchanged_total", "Enabled-set recomputations that found no change (surgery skipped).", c.EnabledUnchanged)

@@ -166,53 +166,6 @@ func (inv *Invariant) MaxDelay(env Env, running func(clock int) bool) int64 {
 	return d
 }
 
-// HoldsRaw is Holds evaluated directly against the raw variable and clock
-// arrays through the compiled atom functions.
-func (inv *Invariant) HoldsRaw(vars, clocks []int64) bool {
-	for i := range inv.atoms {
-		a := &inv.atoms[i]
-		if a.clock < 0 {
-			if !a.freeFn(vars, clocks) {
-				return false
-			}
-			continue
-		}
-		c := clocks[a.clock]
-		b := a.boundFn(vars, clocks)
-		if a.strict {
-			if c >= b {
-				return false
-			}
-		} else if c > b {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxDelayRaw is MaxDelay evaluated against the raw arrays, with the running
-// status of each clock given as a stopped bitmap (stopped[c] true means clock
-// c does not advance under delay).
-func (inv *Invariant) MaxDelayRaw(vars, clocks []int64, stopped []bool) int64 {
-	d := NoBound
-	for i := range inv.atoms {
-		a := &inv.atoms[i]
-		if a.clock < 0 || stopped[a.clock] {
-			continue
-		}
-		c := clocks[a.clock]
-		b := a.boundFn(vars, clocks)
-		room := b - c
-		if a.strict {
-			room--
-		}
-		if room < d {
-			d = room
-		}
-	}
-	return d
-}
-
 // AppendDeps appends the global indices of the variables and clocks the
 // invariant reads to vars and clocks (duplicates possible) and returns both.
 // Bound expressions are clock-free by construction, so the only clocks are

@@ -102,9 +102,9 @@ type Runner interface {
 // schedulability criterion over the trace.
 type ConfigRun struct {
 	Sys *config.System
-	// Backend pins the engine backend for this run; the zero value lets
-	// the pool's default apply. Not part of Key: backends are
-	// outcome-interchangeable.
+	// Backend pins the engine backend for this run; the zero value
+	// (BackendCompiled) lets the pool's default apply. Not part of Key:
+	// backends are outcome-interchangeable.
 	Backend nsa.Backend
 }
 
@@ -191,9 +191,9 @@ func (r ConfigRun) Run(ctx context.Context, b nsa.Budget) (*Outcome, error) {
 type XTARun struct {
 	Src     string
 	Horizon int64
-	// Backend pins the engine backend for this run; the zero value lets
-	// the pool's default apply. Not part of Key: backends are
-	// outcome-interchangeable.
+	// Backend pins the engine backend for this run; the zero value
+	// (BackendCompiled) lets the pool's default apply. Not part of Key:
+	// backends are outcome-interchangeable.
 	Backend nsa.Backend
 }
 
@@ -296,6 +296,12 @@ type Job struct {
 	// postmortem is the in-process copy of the flight-recorder dump named
 	// by PostmortemKey. Guarded by the pool's registry lock.
 	postmortem *Postmortem
+
+	// followers are the identical jobs submitted while this one was
+	// queued or running; they finish with its outcome instead of running
+	// themselves, or take the computation over when it fails. Guarded by
+	// the pool's registry lock.
+	followers []*Job
 }
 
 // Done returns a channel closed when the job reaches a terminal state.

@@ -128,14 +128,6 @@ func (m *Metrics) jobRequeued() {
 	m.mu.Unlock()
 }
 
-// jobCanceledQueued accounts for a job canceled before it started running.
-func (m *Metrics) jobCanceledQueued() {
-	m.mu.Lock()
-	m.queued--
-	m.canceled++
-	m.mu.Unlock()
-}
-
 // jobFinished records a terminal transition of a running job. events is the
 // number of engine transitions the run fired; elapsed its wall time.
 func (m *Metrics) jobFinished(st Status, elapsed time.Duration, events int64) {
@@ -210,13 +202,18 @@ func (m *Metrics) cacheHit(disk bool) {
 	m.mu.Unlock()
 }
 
-// lateCacheHit accounts for a queued job served from the cache at dequeue
-// time (an identical run completed while it waited).
-func (m *Metrics) lateCacheHit() {
+// queuedFinished accounts for a job that ended without running: canceled
+// while queued, or done with the outcome of the identical run it waited
+// on (a cache hit).
+func (m *Metrics) queuedFinished(st Status) {
 	m.mu.Lock()
 	m.queued--
-	m.done++
-	m.cacheHits++
+	if st == StatusCanceled {
+		m.canceled++
+	} else {
+		m.done++
+		m.cacheHits++
+	}
 	m.mu.Unlock()
 }
 

@@ -48,11 +48,11 @@ type Options struct {
 	// SubmitBudget override it. The pool adds its own cancellation on top.
 	Budget nsa.Budget
 	// Backend is the engine backend runs use unless the submitted runner
-	// pins one itself. The zero value is the event-driven runtime; services
-	// wanting the zero-allocation compiled runtime set BackendCompiled.
-	// The backend never enters cache keys: by the determinism theorem all
-	// backends produce interchangeable outcomes (the three-way differential
-	// test enforces it).
+	// pins one itself. The zero value is the zero-allocation compiled
+	// runtime; BackendNaive runs the reference interpreter instead. The
+	// backend never enters cache keys: by the determinism theorem both
+	// backends produce interchangeable outcomes (the compiled-vs-naive
+	// differential test enforces it).
 	Backend nsa.Backend
 	// Tool names the diag reports of failed jobs; "" means "jobs".
 	Tool string
@@ -128,10 +128,13 @@ type Pool struct {
 	stop context.CancelFunc
 	wg   sync.WaitGroup
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	seq    int64
-	closed bool
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// inflight maps a key to the queued or running job that computes it:
+	// the single point where identical submissions coalesce.
+	inflight map[string]*Job
+	seq      int64
+	closed   bool
 }
 
 // New starts a pool with opts.Workers workers.
@@ -153,16 +156,17 @@ func New(opts Options) *Pool {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	p := &Pool{
-		opts:    opts,
-		cache:   NewCache(opts.CacheSize), // nil when CacheSize < 0
-		store:   opts.Store,
-		metrics: newMetrics(),
-		queue:   make(chan *Job, opts.QueueDepth),
-		faults:  opts.Faults,
-		res:     opts.Resilience,
-		ctx:     ctx,
-		stop:    stop,
-		jobs:    make(map[string]*Job),
+		opts:     opts,
+		cache:    NewCache(opts.CacheSize), // nil when CacheSize < 0
+		store:    opts.Store,
+		metrics:  newMetrics(),
+		queue:    make(chan *Job, opts.QueueDepth),
+		faults:   opts.Faults,
+		res:      opts.Resilience,
+		ctx:      ctx,
+		stop:     stop,
+		jobs:     make(map[string]*Job),
+		inflight: make(map[string]*Job),
 	}
 	if p.store != nil {
 		p.breaker = fault.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
@@ -233,22 +237,24 @@ func (p *Pool) SubmitTraced(r Runner, b nsa.Budget, tc obs.TraceContext) (Job, e
 // submit enqueues r with budget b. When the runner's key is cached — in
 // memory, or on disk when the pool has a persistent store — the job
 // completes immediately with the shared outcome and CacheHit set
-// (DiskHit additionally for the persistent tier); otherwise it is
-// queued, or rejected with ErrQueueFull when the queue is at capacity.
-// The returned Job is a snapshot; poll with Get or block with Wait.
+// (DiskHit additionally for the persistent tier). When an identical job
+// is already queued or running, the new one attaches to it and finishes
+// with its outcome, CacheHit set. Otherwise it is queued, or rejected
+// with ErrQueueFull when the queue is at capacity. The returned Job is a
+// snapshot; poll with Get or block with Wait.
 func (p *Pool) submit(r Runner, b nsa.Budget, tc obs.TraceContext) (Job, error) {
 	// Stamp the pool's engine backend onto runners that didn't pin one.
 	// Keys are computed after and without it: backends are outcome-
 	// interchangeable, so a cached result answers any backend's run.
-	if p.opts.Backend != nsa.BackendEvent {
+	if p.opts.Backend != nsa.BackendCompiled {
 		switch rr := r.(type) {
 		case ConfigRun:
-			if rr.Backend == nsa.BackendEvent {
+			if rr.Backend == nsa.BackendCompiled {
 				rr.Backend = p.opts.Backend
 				r = rr
 			}
 		case XTARun:
-			if rr.Backend == nsa.BackendEvent {
+			if rr.Backend == nsa.BackendCompiled {
 				rr.Backend = p.opts.Backend
 				r = rr
 			}
@@ -294,6 +300,17 @@ func (p *Pool) submit(r Runner, b nsa.Budget, tc obs.TraceContext) (Job, error) 
 	if p.closed {
 		return Job{}, ErrClosed
 	}
+	var lead *Job
+	if out == nil && key != "" {
+		// Under the registry lock an identical run is either still in
+		// flight or already in the memory cache (finishLocked fills the
+		// cache before it releases the key), so no duplicate computes.
+		if lead = p.inflight[key]; lead == nil {
+			if out, memHit = p.cache.Get(key); memHit {
+				tier = "tier=memory"
+			}
+		}
+	}
 	p.seq++
 	jb := &Job{
 		ID:        fmt.Sprintf("j%06d", p.seq),
@@ -327,11 +344,19 @@ func (p *Pool) submit(r Runner, b nsa.Budget, tc obs.TraceContext) (Job, error) 
 		}
 		return *jb, nil
 	}
-	select {
-	case p.queue <- jb:
-	default:
-		p.seq-- // job was never registered; reuse the ID
-		return Job{}, ErrQueueFull
+	if lead != nil {
+		lead.followers = append(lead.followers, jb)
+		tier = "tier=inflight"
+	} else {
+		select {
+		case p.queue <- jb:
+		default:
+			p.seq-- // job was never registered; reuse the ID
+			return Job{}, ErrQueueFull
+		}
+		if key != "" {
+			p.inflight[key] = jb
+		}
 	}
 	p.jobs[jb.ID] = jb
 	p.metrics.jobQueued()
@@ -340,7 +365,11 @@ func (p *Pool) submit(r Runner, b nsa.Budget, tc obs.TraceContext) (Job, error) 
 			now.UnixNano(), time.Since(now).Nanoseconds())
 	}
 	if lg := p.jobLogger(jb); lg != nil {
-		lg.Info("job queued")
+		if lead != nil {
+			lg.Info("job attached to in-flight run", slog.String("leader", lead.ID))
+		} else {
+			lg.Info("job queued")
+		}
 	}
 	return *jb, nil
 }
@@ -418,7 +447,6 @@ func (p *Pool) Cancel(id string) bool {
 	case StatusQueued:
 		jb.userCanceled = true
 		p.finishLocked(jb, nil, context.Canceled)
-		p.metrics.jobCanceledQueued()
 		return true
 	case StatusRunning:
 		// Mark the cancellation as user-requested so the watchdog's requeue
@@ -457,9 +485,11 @@ func (p *Pool) Close() {
 		select {
 		case jb := <-p.queue:
 			p.mu.Lock()
-			if jb.Status == StatusQueued {
-				p.finishLocked(jb, nil, context.Canceled)
-				p.metrics.jobCanceledQueued()
+			// Cancel the queued job and every duplicate waiting on it.
+			for ; jb != nil; jb = p.handOffLocked(jb) {
+				if jb.Status == StatusQueued {
+					p.finishLocked(jb, nil, context.Canceled)
+				}
 			}
 			p.mu.Unlock()
 		default:
@@ -488,7 +518,9 @@ func (p *Pool) worker() {
 		case <-p.ctx.Done():
 			return
 		case jb := <-p.queue:
-			p.run(jb, ec, efl)
+			for jb != nil {
+				jb = p.run(jb, ec, efl)
+			}
 		}
 	}
 }
@@ -551,25 +583,15 @@ func (p *Pool) maxRequeues() int {
 
 // run executes one dequeued job on the calling worker, whose engine
 // cache (nil when disabled) and flight recorder (nil when disabled) ride
-// along into the run context.
-func (p *Pool) run(jb *Job, ec *engineCache, efl *obs.FlightRecorder) {
+// along into the run context. When the job ends without an outcome, run
+// returns the follower that takes over its computation, for the worker to
+// run next; otherwise it returns nil.
+func (p *Pool) run(jb *Job, ec *engineCache, efl *obs.FlightRecorder) *Job {
 	p.mu.Lock()
 	if jb.Status != StatusQueued { // canceled while queued
+		next := p.handOffLocked(jb)
 		p.mu.Unlock()
-		return
-	}
-	// Re-check the cache at dequeue time: an identical job submitted while
-	// this one sat in the queue may have completed in the meantime, so
-	// duplicate points of a sweep coalesce onto one run.
-	if out, ok := p.cache.Get(jb.Key); ok {
-		jb.CacheHit = true
-		p.finishLocked(jb, out, nil)
-		p.mu.Unlock()
-		p.metrics.lateCacheHit()
-		if lg := p.jobLogger(jb); lg != nil {
-			lg.Info("job served from cache at dequeue")
-		}
-		return
+		return next
 	}
 	jb.Status = StatusRunning
 	jb.Started = time.Now()
@@ -621,7 +643,7 @@ func (p *Pool) run(jb *Job, ec *engineCache, efl *obs.FlightRecorder) {
 				if lg := p.jobLogger(jb); lg != nil {
 					lg.Warn("stuck job requeued", slog.Int("attempt", attempt+1))
 				}
-				return
+				return nil
 			default:
 				// Queue full: fall through to a terminal failure.
 			}
@@ -633,11 +655,32 @@ func (p *Pool) run(jb *Job, ec *engineCache, efl *obs.FlightRecorder) {
 		pm = p.buildPostmortemLocked(jb, err, efl)
 	}
 	p.finishLocked(jb, out, err)
+	var next *Job
+	if err != nil {
+		// Only outcomes are shared: a failure may be this job's own (its
+		// budget, a fault, a cancel), so a duplicate waiting on it runs
+		// under its own budget instead.
+		next = p.handOffLocked(jb)
+	}
 	if pm != nil && jb.Report != nil {
 		jb.Report.Flight = pm.Engine
 	}
 	st, elapsed := jb.Status, jb.Finished.Sub(jb.Started)
 	p.mu.Unlock()
+	// Account for the run outside the registry lock, but before done
+	// closes, so a waiter never reads counters that show it running.
+	if out != nil {
+		p.metrics.recordTelemetry(out.Telemetry)
+	}
+	p.metrics.jobFinished(st, elapsed, outcomeEvents(out))
+	close(jb.done)
+	if err == nil && jb.Key != "" {
+		// Followers finish after the run is accounted for, for the same
+		// reason.
+		p.mu.Lock()
+		p.releaseLocked(jb, out)
+		p.mu.Unlock()
+	}
 	if traced {
 		if out != nil && out.Telemetry != nil {
 			// Fold the run's pipeline phases into the trace as children of
@@ -664,21 +707,58 @@ func (p *Pool) run(jb *Job, ec *engineCache, efl *obs.FlightRecorder) {
 	} else {
 		p.persistPostmortem(pm, lg)
 	}
-	var events int64
-	if out != nil {
-		events = int64(out.Engine.Actions + out.Engine.Delays)
-		p.metrics.recordTelemetry(out.Telemetry)
-	}
-	p.metrics.jobFinished(st, elapsed, events)
 	if lg != nil {
 		if err != nil {
 			lg.Warn("job finished", slog.String("status", string(st)),
 				slog.Duration("elapsed", elapsed), slog.String("error", err.Error()))
 		} else {
 			lg.Info("job finished", slog.String("status", string(st)),
-				slog.Duration("elapsed", elapsed), slog.Int64("events", events))
+				slog.Duration("elapsed", elapsed), slog.Int64("events", outcomeEvents(out)))
 		}
 	}
+	return next
+}
+
+// releaseLocked ends jb's successful computation: the key leaves the
+// in-flight table and every follower still waiting finishes with jb's
+// outcome as a cache hit. Callers hold p.mu.
+func (p *Pool) releaseLocked(jb *Job, out *Outcome) {
+	if p.inflight[jb.Key] == jb {
+		delete(p.inflight, jb.Key)
+	}
+	for _, f := range jb.followers {
+		if f.Status.Terminal() { // canceled while waiting
+			continue
+		}
+		f.CacheHit = true
+		p.finishLocked(f, out, nil)
+	}
+	jb.followers = nil
+}
+
+// handOffLocked passes the computation of jb, which ended without an
+// outcome, to the first follower still waiting; that follower inherits
+// the remaining followers and jb's place in the in-flight table. It
+// returns that follower, or nil when none is left and the key has left
+// the table. Callers hold p.mu.
+func (p *Pool) handOffLocked(jb *Job) *Job {
+	var next *Job
+	for i, f := range jb.followers {
+		if !f.Status.Terminal() {
+			next = f
+			next.followers = jb.followers[i+1:]
+			break
+		}
+	}
+	jb.followers = nil
+	if p.inflight[jb.Key] == jb {
+		if next != nil {
+			p.inflight[jb.Key] = next
+		} else {
+			delete(p.inflight, jb.Key)
+		}
+	}
+	return next
 }
 
 // safeRun executes the runner behind the worker fault sites and a panic
@@ -711,8 +791,12 @@ func (p *Pool) safeRun(ctx context.Context, r Runner, b nsa.Budget) (out *Outcom
 	return r.Run(ctx, b)
 }
 
-// finishLocked moves jb to its terminal state. Callers hold p.mu.
+// finishLocked moves jb to its terminal state. A job that never ran is
+// accounted for in the metrics before done closes, so a waiter never
+// reads counters that still show it queued; for a job that ran, run does
+// both after it releases p.mu. Callers hold p.mu.
 func (p *Pool) finishLocked(jb *Job, out *Outcome, err error) {
+	ran := jb.Status == StatusRunning
 	jb.Finished = time.Now()
 	if jb.Started.IsZero() {
 		jb.Started = jb.Finished
@@ -730,7 +814,19 @@ func (p *Pool) finishLocked(jb *Job, out *Outcome, err error) {
 		jb.Outcome = out
 		p.cache.Put(jb.Key, out)
 	}
+	if ran {
+		return
+	}
+	p.metrics.queuedFinished(jb.Status)
 	close(jb.done)
+}
+
+// outcomeEvents is the number of engine transitions a run fired.
+func outcomeEvents(out *Outcome) int64 {
+	if out == nil {
+		return 0
+	}
+	return int64(out.Engine.Actions + out.Engine.Delays)
 }
 
 // traceStatus renders a terminal status as a constant span detail, so

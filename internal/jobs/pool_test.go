@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,6 +167,186 @@ func TestPoolCancelQueuedAndRunning(t *testing.T) {
 	}
 	if p.Cancel("j999999") {
 		t.Fatal("cancel of unknown job accepted")
+	}
+}
+
+// TestPoolCoalescesInflightDuplicates: identical submissions racing one
+// another while their run is in flight compute once; every duplicate
+// finishes with the shared outcome as a cache hit.
+func TestPoolCoalescesInflightDuplicates(t *testing.T) {
+	var runs atomic.Int32
+	release := make(chan struct{})
+	r := funcRunner{key: "same", run: func(ctx context.Context) error {
+		runs.Add(1)
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}}
+	// No result cache: only coalescing can keep the duplicates from running.
+	p := New(Options{Workers: 2, CacheSize: -1})
+	defer p.Close()
+
+	const n = 8
+	ids := make([]string, n)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			jb, err := p.Submit(r)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ids[i] = jb.ID
+		}()
+	}
+	wg.Wait()
+	close(release)
+
+	var outcome *Outcome
+	hits := 0
+	for _, id := range ids {
+		got, err := p.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Status != StatusDone {
+			t.Fatalf("%s: status %s (err=%v)", id, got.Status, got.Err)
+		}
+		if outcome == nil {
+			outcome = got.Outcome
+		} else if got.Outcome != outcome {
+			t.Errorf("%s: outcome not shared with the computing job", id)
+		}
+		if got.CacheHit {
+			hits++
+		}
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("runs = %d, want 1", got)
+	}
+	if hits != n-1 {
+		t.Errorf("cache hits = %d, want %d", hits, n-1)
+	}
+	m := p.Metrics()
+	if m.Done != n || m.CacheHits != n-1 || m.Queued != 0 || m.Running != 0 {
+		t.Errorf("metrics done=%d hits=%d queued=%d running=%d, want %d/%d/0/0",
+			m.Done, m.CacheHits, m.Queued, m.Running, n, n-1)
+	}
+}
+
+// TestPoolCoalescedCancel: canceling a waiting duplicate leaves the run
+// alone, and canceling the running job hands its computation to the
+// duplicate still waiting on it.
+func TestPoolCoalescedCancel(t *testing.T) {
+	var runs atomic.Int32
+	started := make(chan struct{}, 4)
+	release := make(chan struct{})
+	r := funcRunner{key: "same", run: func(ctx context.Context) error {
+		runs.Add(1)
+		started <- struct{}{}
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}}
+	p := New(Options{Workers: 1, CacheSize: -1})
+	defer p.Close()
+
+	lead, err := p.Submit(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	dropped, err := p.Submit(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := p.Submit(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Cancel(dropped.ID) {
+		t.Fatal("cancel of a waiting duplicate refused")
+	}
+	if !p.Cancel(lead.ID) {
+		t.Fatal("cancel of the running job refused")
+	}
+	<-started // the surviving duplicate took the computation over
+	close(release)
+
+	want := map[string]Status{lead.ID: StatusCanceled, dropped.ID: StatusCanceled, kept.ID: StatusDone}
+	for id, st := range want {
+		got, err := p.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Status != st {
+			t.Errorf("%s: status %s, want %s (err=%v)", id, got.Status, st, got.Err)
+		}
+	}
+	if got := runs.Load(); got != 2 {
+		t.Errorf("runs = %d, want 2", got)
+	}
+	if m := p.Metrics(); m.Queued != 0 || m.Running != 0 || m.Canceled != 2 || m.Done != 1 {
+		t.Errorf("metrics queued=%d running=%d canceled=%d done=%d, want 0/0/2/1",
+			m.Queued, m.Running, m.Canceled, m.Done)
+	}
+}
+
+// TestPoolCoalescedFailureHandsOff: a duplicate attached to a run that
+// fails is not failed with it; it takes the computation over under its
+// own budget.
+func TestPoolCoalescedFailureHandsOff(t *testing.T) {
+	release := make(chan struct{})
+	blocker := funcRunner{key: "blocker", run: func(ctx context.Context) error {
+		<-release
+		return nil
+	}}
+	p := New(Options{Workers: 1, CacheSize: -1})
+	defer p.Close()
+
+	if _, err := p.Submit(blocker); err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, p)
+	// Both queue behind the blocker, so the second attaches to the first.
+	r := ConfigRun{Sys: testSystem(9)}
+	lead, err := p.SubmitBudget(r, nsa.Budget{MaxSteps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup, err := p.Submit(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+
+	got, err := p.Wait(context.Background(), lead.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rerr *nsa.RunError
+	if got.Status != StatusFailed || !errors.As(got.Err, &rerr) {
+		t.Fatalf("lead: status %s err %v, want failed with *nsa.RunError", got.Status, got.Err)
+	}
+	got, err = p.Wait(context.Background(), dup.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != StatusDone || got.CacheHit {
+		t.Fatalf("duplicate: status %s cache hit %v (err=%v), want done by its own run",
+			got.Status, got.CacheHit, got.Err)
+	}
+	if m := p.Metrics(); m.Queued != 0 || m.Running != 0 || m.Failed != 1 || m.Done != 2 || m.CacheHits != 0 {
+		t.Errorf("metrics queued=%d running=%d failed=%d done=%d hits=%d, want 0/0/1/2/0",
+			m.Queued, m.Running, m.Failed, m.Done, m.CacheHits)
 	}
 }
 

@@ -8,8 +8,15 @@ import (
 
 // compiledRuntime is the compiled interpretation backend: it executes the
 // network's flat compiledNet form against a persistent structure-of-arrays
-// scratch arena, allocating nothing on the steady-state hot path. Beyond the
-// event-driven runtime's dirty tracking it adds three mechanisms:
+// scratch arena, allocating nothing on the steady-state hot path. After each
+// step it re-evaluates only the automata the step may have affected:
+// transition participants, readers of the variables and clocks the
+// transition wrote (per the static write footprints in netIndex), readers of
+// clocks whose stopped status flipped, and — after a delay — the automata
+// whose current location has a clock-dependent guard. Invariant expiries and
+// guard wake-up points live in lazily-invalidated min-heaps keyed by
+// absolute model time. On top of that dirty tracking it adds three
+// mechanisms:
 //
 //   - Guards and updates run as inlined comparisons or expression bytecode
 //     (compiledNet), not closure chains, with one shared register file.
@@ -23,9 +30,12 @@ import (
 //     expiry and guard wake-up once, when the instant's delay bound is
 //     finally queried, not once per action.
 //
-// The semantics contract is byte-identical to the naive and event-driven
-// paths, including SemanticsError messages; engine CheckEngine mode chains
-// all three.
+// The semantics contract is byte-identical to the naive path, including
+// SemanticsError messages; engine CheckEngine mode compares the two after
+// every step.
+//
+// The runtime owns its State for the duration of a run: all mutations must
+// go through fire and advance, or the caches go stale.
 type compiledRuntime struct {
 	net *Network
 	cn  *compiledNet
@@ -67,9 +77,9 @@ type compiledRuntime struct {
 	activeBcast autSet
 
 	// cl holds the persistent per-channel half lists, sorted by (aut, edge).
-	// Unlike the event runtime the lists are maintained incrementally and
-	// never reset between steps; cl.touched is refilled from activeCh when
-	// the full candidate enumeration needs it.
+	// The lists are maintained incrementally and never reset between steps;
+	// cl.touched is refilled from activeCh when the full candidate
+	// enumeration needs it.
 	cl    *chanLists
 	arena partsArena
 
@@ -90,7 +100,7 @@ type compiledRuntime struct {
 	scrRecv []halfRef
 	scrWake []int32
 
-	probe *obs.Probe
+	probe                                   *obs.Probe
 	statGuard, statByte, statSlow, statPush int64
 	statDl, statUnchanged, statFirst        int64
 }
@@ -131,7 +141,7 @@ func newCompiledRuntime(net *Network, s *State, probe *obs.Probe) *compiledRunti
 }
 
 // seed derives all incremental state from the current State and marks both
-// dirt planes everywhere, like newEngineRuntime's constructor loop.
+// dirt planes everywhere. Called at construction and by reset.
 func (r *compiledRuntime) seed() {
 	for ai := range r.net.Automata {
 		loc := int(r.s.Locs[ai])
@@ -681,7 +691,7 @@ func (r *compiledRuntime) recomputeDeadline(ai int32) {
 	r.dlDirty[ai] = false
 }
 
-// atomsMaxDelay mirrors expr.Invariant.MaxDelayRaw over the flattened atoms,
+// atomsMaxDelay mirrors expr.Invariant.MaxDelay over the flattened atoms,
 // with the constant-bound fast path.
 func (r *compiledRuntime) atomsMaxDelay(atoms []catom) int64 {
 	d := expr.NoBound
@@ -705,7 +715,7 @@ func (r *compiledRuntime) atomsMaxDelay(atoms []catom) int64 {
 	return d
 }
 
-// atomsHold mirrors expr.Invariant.HoldsRaw over the flattened atoms.
+// atomsHold mirrors expr.Invariant.Holds over the flattened atoms.
 func (r *compiledRuntime) atomsHold(atoms []catom) bool {
 	for i := range atoms {
 		a := &atoms[i]
@@ -738,7 +748,7 @@ func (r *compiledRuntime) fire(tr *Transition) error {
 	if err := r.fireApply(tr); err != nil {
 		return err
 	}
-	r.afterFire(tr, r.oldLocs)
+	r.afterFire(tr)
 	return nil
 }
 
@@ -803,15 +813,15 @@ func (r *compiledRuntime) invHolds(ci *cinv, tr *Transition, p Part) (holds bool
 	return r.atomsHold(ci.atoms), nil
 }
 
-// afterFire maintains the caches for a firing of tr already applied to the
-// shared State, dirtying both planes for participants and for readers of
-// everything the transition wrote.
-func (r *compiledRuntime) afterFire(tr *Transition, oldLocs []sa.LocID) {
+// afterFire maintains the caches for a firing of tr that fireApply applied,
+// dirtying both planes for participants and for readers of everything the
+// transition wrote.
+func (r *compiledRuntime) afterFire(tr *Transition) {
 	s := r.s
 	for i, p := range tr.Parts {
 		r.markEn(int32(p.Aut))
 		r.markDl(int32(p.Aut))
-		if old, now := oldLocs[i], s.Locs[p.Aut]; old != now {
+		if old, now := r.oldLocs[i], s.Locs[p.Aut]; old != now {
 			r.locChanged(p.Aut, old, now)
 		}
 		if r.idx.writeUnknown[p.Aut][p.Edge] {
@@ -886,17 +896,13 @@ func (r *compiledRuntime) advance(d int64) error {
 		}
 		s.Time += d
 	}
-	r.afterAdvance()
-	return nil
-}
-
-func (r *compiledRuntime) afterAdvance() {
 	for _, ai := range r.clockSens.list {
 		r.markEn(ai)
 	}
 	for _, ai := range r.volatileWake.list {
 		r.markDl(ai)
 	}
+	return nil
 }
 
 // flushStats drains the accumulated counters into the probe; nil probe is a

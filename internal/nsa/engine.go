@@ -108,44 +108,35 @@ func (t *SyncTrace) OnTransition(time int64, tr *Transition, _ *Network, _ *Stat
 type Backend uint8
 
 const (
-	// BackendEvent is the event-driven runtime (runtime.go): cached enabled
-	// sets invalidated through static read/write footprints, deadline heaps.
-	// The default.
-	BackendEvent Backend = iota
 	// BackendCompiled executes the network's flat compiled form
-	// (compile.go, compiled.go): expression bytecode, persistent
-	// synchronization lists, batched same-instant deadline processing, zero
-	// steady-state allocation.
-	BackendCompiled
+	// (compile.go, compiled.go): cached enabled sets invalidated through
+	// static read/write footprints, expression bytecode, persistent
+	// synchronization lists, deadline heaps with batched same-instant
+	// processing, zero steady-state allocation. The default.
+	BackendCompiled Backend = iota
 	// BackendNaive re-enumerates every transition from scratch each step
-	// through Network.EnabledTransitions / DelayBound. The oracle the other
-	// two are checked against.
+	// through Network.EnabledTransitions / DelayBound. The oracle the
+	// compiled backend is checked against.
 	BackendNaive
 )
 
 func (b Backend) String() string {
-	switch b {
-	case BackendCompiled:
-		return "compiled"
-	case BackendNaive:
+	if b == BackendNaive {
 		return "naive"
-	default:
-		return "event"
 	}
+	return "compiled"
 }
 
-// ParseBackend maps the flag spellings "event", "compiled" and "naive" onto
-// Backend values.
+// ParseBackend maps the flag spellings "compiled" and "naive" onto Backend
+// values.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "event":
-		return BackendEvent, nil
 	case "compiled":
 		return BackendCompiled, nil
 	case "naive":
 		return BackendNaive, nil
 	}
-	return BackendEvent, fmt.Errorf("nsa: unknown engine backend %q (want event, compiled or naive)", s)
+	return BackendCompiled, fmt.Errorf("nsa: unknown engine backend %q (want compiled or naive)", s)
 }
 
 // Options configure a run.
@@ -171,16 +162,10 @@ type Options struct {
 	// DefaultDiagTraceDepth; negative disables the recording.
 	DiagTraceDepth int
 	// Backend selects the interpretation strategy; the zero value is the
-	// event-driven runtime.
+	// compiled runtime.
 	Backend Backend
-	// Naive is the legacy spelling of Backend: BackendNaive. When set it
-	// overrides Backend.
-	Naive bool
-	// CheckEngine cross-checks the interpretation paths after every step.
-	// Under BackendEvent the event-driven candidate list and delay bounds
-	// are verified against a fresh naive enumeration; under BackendCompiled
-	// the compiled runtime is additionally shadowed by an event-driven
-	// runtime over the same state, chaining all three backends. Any
+	// CheckEngine verifies the compiled runtime's candidate list and delay
+	// bound against a fresh naive enumeration after every step. Any
 	// divergence fails the run. Ignored under BackendNaive.
 	CheckEngine bool
 	// Probe, when non-nil, collects hot-path counters (transitions by
@@ -226,12 +211,10 @@ type Engine struct {
 	opts Options
 
 	// Persistent per-engine scratch, reused across runs.
-	rt     *engineRuntime
 	crt    *compiledRuntime
 	trk    Tracker
 	ring   *traceRing
 	cands  []Transition
-	shadow []Transition
 	keyBuf []byte
 	tr     Transition // the step's chosen transition (persistent so taking
 	// its address for listeners does not force a per-step heap allocation)
@@ -244,9 +227,6 @@ func NewEngine(net *Network, opts Options) *Engine {
 	}
 	if opts.MaxActionsPerInstant == 0 {
 		opts.MaxActionsPerInstant = 10_000_000
-	}
-	if opts.Naive {
-		opts.Backend = BackendNaive
 	}
 	s := net.InitialState()
 	return &Engine{net: net, s: s, init: s.Clone(), opts: opts}
@@ -266,9 +246,6 @@ func (e *Engine) Reset() {
 	copy(e.s.Clocks, e.init.Clocks)
 	copy(e.s.Vars, e.init.Vars)
 	e.s.Time = e.init.Time
-	if e.rt != nil {
-		e.rt.reset()
-	}
 	if e.crt != nil {
 		e.crt.reset()
 	}
@@ -382,31 +359,15 @@ func (e *Engine) RunContext(ctx context.Context) (res Result, err error) {
 			fl.Record(obs.FlightSeed, e.s.Time, sd.ChooserSeed(), 0, "")
 		}
 	}
-	var rt *engineRuntime
+	// crt stays nil under BackendNaive, which steps through the Network's
+	// own enumeration instead.
 	var crt *compiledRuntime
-	switch e.opts.Backend {
-	case BackendNaive:
-	case BackendCompiled:
+	if e.opts.Backend != BackendNaive {
 		if e.crt == nil {
 			e.crt = newCompiledRuntime(e.net, e.s, probe)
 		}
 		crt = e.crt
 		defer crt.flushStats()
-		if e.opts.CheckEngine {
-			// Shadow event-driven runtime over the same State: the compiled
-			// runtime mutates, the shadow tracks via afterFire/afterAdvance,
-			// and their candidate lists and delay bounds must agree exactly.
-			if e.rt == nil {
-				e.rt = newEngineRuntime(e.net, e.s, nil)
-			}
-			rt = e.rt
-		}
-	default:
-		if e.rt == nil {
-			e.rt = newEngineRuntime(e.net, e.s, probe)
-		}
-		rt = e.rt
-		defer rt.flushStats()
 	}
 	// The first-transition fast path: with the deterministic default chooser
 	// and no per-step observers that need the full list, the compiled
@@ -424,26 +385,14 @@ func (e *Engine) RunContext(ctx context.Context) (res Result, err error) {
 		if useFirst {
 			e.tr, haveTr = crt.first()
 		} else {
-			switch {
-			case crt != nil:
+			if crt != nil {
 				cands = crt.enabled(cands[:0])
 				if e.opts.CheckEngine {
-					e.shadow = rt.enabled(e.shadow[:0])
-					if err := e.compareBackends(cands, e.shadow); err != nil {
-						return res, err
-					}
 					if err := e.checkEnabled(cands); err != nil {
 						return res, err
 					}
 				}
-			case rt != nil:
-				cands = rt.enabled(cands[:0])
-				if e.opts.CheckEngine {
-					if err := e.checkEnabled(cands); err != nil {
-						return res, err
-					}
-				}
-			default:
+			} else {
 				cands = e.net.EnabledTransitions(e.s, cands[:0])
 			}
 			haveTr = len(cands) > 0
@@ -493,15 +442,9 @@ func (e *Engine) RunContext(ctx context.Context) (res Result, err error) {
 			tr := &e.tr
 			fireTime := e.s.Time
 			var ferr error
-			switch {
-			case crt != nil:
+			if crt != nil {
 				ferr = crt.fire(tr)
-				if ferr == nil && rt != nil {
-					rt.afterFire(tr, crt.oldLocs)
-				}
-			case rt != nil:
-				ferr = rt.fire(tr)
-			default:
+			} else {
 				ferr = e.net.Fire(e.s, tr)
 			}
 			if ferr != nil {
@@ -550,25 +493,14 @@ func (e *Engine) RunContext(ctx context.Context) (res Result, err error) {
 			return res, nil
 		}
 		var info DelayInfo
-		switch {
-		case crt != nil:
+		if crt != nil {
 			info = crt.delayBound()
 			if e.opts.CheckEngine {
-				if evInfo := rt.delayBound(); evInfo != info {
-					return res, fmt.Errorf("nsa: engine check: at time %d delay divergence: compiled %+v, event %+v", e.s.Time, info, evInfo)
-				}
 				if want := e.net.DelayBound(e.s); want != info {
-					return res, fmt.Errorf("nsa: engine check: at time %d delay divergence: optimized %+v, naive %+v", e.s.Time, info, want)
+					return res, fmt.Errorf("nsa: engine check: at time %d delay divergence: compiled %+v, naive %+v", e.s.Time, info, want)
 				}
 			}
-		case rt != nil:
-			info = rt.delayBound()
-			if e.opts.CheckEngine {
-				if want := e.net.DelayBound(e.s); want != info {
-					return res, fmt.Errorf("nsa: engine check: at time %d delay divergence: optimized %+v, naive %+v", e.s.Time, info, want)
-				}
-			}
-		default:
+		} else {
 			info = e.net.DelayBound(e.s)
 		}
 		if info.Blocked {
@@ -601,15 +533,9 @@ func (e *Engine) RunContext(ctx context.Context) (res Result, err error) {
 			d = remaining
 		}
 		var aerr error
-		switch {
-		case crt != nil:
+		if crt != nil {
 			aerr = crt.advance(d)
-			if aerr == nil && rt != nil {
-				rt.afterAdvance()
-			}
-		case rt != nil:
-			aerr = rt.advance(d)
-		default:
+		} else {
 			aerr = e.net.Advance(e.s, d)
 		}
 		if aerr != nil {
@@ -631,48 +557,13 @@ func (e *Engine) RunContext(ctx context.Context) (res Result, err error) {
 	}
 }
 
-// compareBackends verifies the compiled and event-driven candidate lists
-// agree exactly (CheckEngine under BackendCompiled).
-func (e *Engine) compareBackends(compiled, event []Transition) error {
-	mismatch := len(compiled) != len(event)
-	if !mismatch {
-		for i := range compiled {
-			if !sameTransition(&compiled[i], &event[i]) {
-				mismatch = true
-				break
-			}
-		}
-	}
-	if !mismatch {
-		return nil
-	}
-	return fmt.Errorf("nsa: engine check: at time %d enabled-set divergence:\ncompiled (%d): %s\nevent    (%d): %s",
-		e.s.Time, len(compiled), formatTransitions(e.net, compiled), len(event), formatTransitions(e.net, event))
-}
-
-func formatTransitions(n *Network, ts []Transition) string {
-	out := ""
-	for i := range ts {
-		if i > 0 {
-			out += "; "
-		}
-		out += ts[i].String(n)
-	}
-	return "[" + out + "]"
-}
-
-// checkEnabled compares the event-driven runtime's candidate list against a
+// checkEnabled compares the compiled runtime's candidate list against a
 // fresh naive enumeration of the same state (CheckEngine mode).
 func (e *Engine) checkEnabled(cands []Transition) error {
 	want := e.net.EnabledTransitions(e.s, nil)
 	mismatch := len(want) != len(cands)
-	if !mismatch {
-		for i := range want {
-			if !sameTransition(&want[i], &cands[i]) {
-				mismatch = true
-				break
-			}
-		}
+	for i := 0; !mismatch && i < len(want); i++ {
+		mismatch = !sameTransition(&want[i], &cands[i])
 	}
 	if !mismatch {
 		return nil
@@ -687,7 +578,7 @@ func (e *Engine) checkEnabled(cands []Transition) error {
 		}
 		return "[" + out + "]"
 	}
-	return fmt.Errorf("nsa: engine check: at time %d enabled-set divergence:\noptimized (%d): %s\nnaive     (%d): %s",
+	return fmt.Errorf("nsa: engine check: at time %d enabled-set divergence:\ncompiled (%d): %s\nnaive    (%d): %s",
 		e.s.Time, len(cands), format(cands), len(want), format(want))
 }
 

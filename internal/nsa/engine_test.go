@@ -255,3 +255,31 @@ func TestLocationString(t *testing.T) {
 		t.Errorf("LocationString = %q", got)
 	}
 }
+
+// TestParseBackendRejectsEvent: the retired event-driven spelling is an
+// unknown backend, and the error names the spellings that are accepted.
+func TestParseBackendRejectsEvent(t *testing.T) {
+	_, err := ParseBackend("event")
+	if err == nil {
+		t.Fatal(`ParseBackend("event") accepted a retired backend`)
+	}
+	for _, want := range []string{`"event"`, "compiled", "naive"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	for _, b := range []Backend{BackendCompiled, BackendNaive} {
+		if got, err := ParseBackend(b.String()); err != nil || got != b {
+			t.Errorf("ParseBackend(%q) = %v, %v", b.String(), got, err)
+		}
+	}
+}
+
+// TestDefaultBackendIsCompiled: an engine built without a backend runs on
+// the compiled runtime.
+func TestDefaultBackendIsCompiled(t *testing.T) {
+	net := stopResumeNet(t)
+	if got := NewEngine(net, Options{Horizon: 100}).Backend(); got != BackendCompiled {
+		t.Fatalf("default backend = %s, want compiled", got)
+	}
+}

@@ -41,7 +41,6 @@ func (a *partsArena) copyOf(ps []Part) []Part {
 type chanLists struct {
 	sends, recvs [][]half
 	touched      []sa.ChanID // channels with at least one half this state
-	urgent       []sa.ChanID // the urgent channels among touched
 	groups       [][]half    // scratch for broadcast receiver grouping
 	combo        []Part      // scratch for broadcast combination expansion
 }
@@ -56,25 +55,21 @@ func (c *chanLists) reset() {
 		c.recvs[ch] = c.recvs[ch][:0]
 	}
 	c.touched = c.touched[:0]
-	c.urgent = c.urgent[:0]
 }
 
-func (c *chanLists) touch(n *Network, ch sa.ChanID) {
+func (c *chanLists) touch(ch sa.ChanID) {
 	if len(c.sends[ch]) == 0 && len(c.recvs[ch]) == 0 {
 		c.touched = append(c.touched, ch)
-		if n.Chans[ch].Urgent {
-			c.urgent = append(c.urgent, ch)
-		}
 	}
 }
 
-func (c *chanLists) addSend(n *Network, ch sa.ChanID, h half) {
-	c.touch(n, ch)
+func (c *chanLists) addSend(ch sa.ChanID, h half) {
+	c.touch(ch)
 	c.sends[ch] = append(c.sends[ch], h)
 }
 
-func (c *chanLists) addRecv(n *Network, ch sa.ChanID, h half) {
-	c.touch(n, ch)
+func (c *chanLists) addRecv(ch sa.ChanID, h half) {
+	c.touch(ch)
 	c.recvs[ch] = append(c.recvs[ch], h)
 }
 
@@ -223,11 +218,11 @@ func (en *Enumerator) Enabled(s *State) []Transition {
 				}
 			case sa.Send:
 				if e.evalGuard(vars, clocks, &en.env) {
-					en.cl.addSend(n, e.ch, half{ai, int(e.edge)})
+					en.cl.addSend(e.ch, half{ai, int(e.edge)})
 				}
 			case sa.Recv:
 				if e.evalGuard(vars, clocks, &en.env) {
-					en.cl.addRecv(n, e.ch, half{ai, int(e.edge)})
+					en.cl.addRecv(e.ch, half{ai, int(e.edge)})
 				}
 			}
 		}

@@ -44,10 +44,6 @@ type locInfo struct {
 	// edges lists the outgoing edges in ascending edge-index order, with
 	// compiled guards.
 	edges []edgeInfo
-	// inv is the location invariant (nil when trivially true); fastInv is
-	// its compiled form when expression-based.
-	inv     sa.Invariant
-	fastInv *expr.Invariant
 	// committed mirrors sa.Location.Committed.
 	committed bool
 	// clockSensitive is true when some outgoing guard may change truth
@@ -64,9 +60,6 @@ type edgeInfo struct {
 	// fast is the compiled guard; nil means "evaluate slow via the env".
 	fast expr.BoolFn
 	slow sa.Guard // nil means trivially true (only when fast is also nil)
-	// waker is non-nil when the guard is clock-dependent and can report a
-	// wake-up delay (it may return expr.NoBound).
-	waker sa.Waker
 }
 
 // evalGuard evaluates the edge guard against the raw state arrays, falling
@@ -122,9 +115,7 @@ func buildIndex(n *Network) *netIndex {
 			info := &idx.locs[ai][li]
 			info.committed = loc.Committed
 			if loc.Invariant != nil {
-				info.inv = loc.Invariant
 				if fi, ok := loc.Invariant.(*expr.Invariant); ok {
-					info.fastInv = fi
 					readV, readC = fi.AppendDeps(readV, readC)
 				} else {
 					unknown = true
@@ -147,7 +138,6 @@ func buildIndex(n *Network) *netIndex {
 					readV = expr.Vars(g.Node, readV)
 					readC = expr.Clocks(g.Node, readC)
 					if len(readC) > before {
-						ef.waker = g
 						info.clockSensitive = true
 					}
 				case *sa.GuardFunc:
@@ -162,14 +152,10 @@ func buildIndex(n *Network) *netIndex {
 						info.clockSensitive = true
 					}
 					if g.NextEnableF != nil {
-						ef.waker = g
 						info.clockSensitive = true
 					}
 				default:
 					ef.slow = g
-					if w, ok := g.(sa.Waker); ok {
-						ef.waker = w
-					}
 					unknown = true
 					info.clockSensitive = true
 				}
