@@ -1,12 +1,10 @@
 package main
 
-// Observability endpoints: the span-tree view of one trace, the
-// flight-recorder postmortem of a failed job, and the live SSE event
-// streams of campaigns and syntheses.
+// Observability endpoints: the span-tree view of one trace and the
+// flight-recorder postmortem of a failed job. The live SSE event streams
+// of campaigns and syntheses are part of the exploration routes.
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 
@@ -47,74 +45,4 @@ func (s *server) postmortem(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, pm)
-}
-
-// campaignEvents serves GET /v1/campaigns/{id}/events: a live SSE stream
-// of point settlements, quarantines and the terminal status, each with
-// coverage and ETA. The first record is always a synthetic status
-// snapshot, so subscribers to an already-finished campaign are answered
-// instead of hanging.
-func (s *server) campaignEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	first, ok := s.camps.StatusEvent(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown campaign %q", id)
-		return
-	}
-	ch, cancel, ok := s.camps.Subscribe(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown campaign %q", id)
-		return
-	}
-	serveSSE(w, r, first, ch, cancel)
-}
-
-// synthEvents serves GET /v1/synth/{id}/events, the synthesis mirror of
-// campaignEvents.
-func (s *server) synthEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	first, ok := s.synths.StatusEvent(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown synthesis %q", id)
-		return
-	}
-	ch, cancel, ok := s.synths.Subscribe(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown synthesis %q", id)
-		return
-	}
-	serveSSE(w, r, first, ch, cancel)
-}
-
-// serveSSE writes first and then every subscribed event as SSE data
-// records until the client disconnects. The subscription is best-effort
-// by construction (the hub drops on a full buffer), so a slow client
-// loses events rather than stalling the exploration.
-func serveSSE(w http.ResponseWriter, r *http.Request, first any, ch <-chan any, cancel func()) {
-	defer cancel()
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	write := func(ev any) {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(w, "data: %s\n\n", b)
-		fl.Flush()
-	}
-	write(first)
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev := <-ch:
-			write(ev)
-		}
-	}
 }

@@ -86,18 +86,8 @@ func newMux(pool *jobs.Pool, camps *campaign.Engine, synths *synth.Engine, comp 
 	mux.HandleFunc("GET /v1/jobs/{id}/report", s.report)
 	mux.HandleFunc("GET /v1/jobs/{id}/postmortem", s.postmortem)
 	mux.HandleFunc("GET /v1/traces/{id}", s.spanTree)
-	mux.HandleFunc("POST /v1/campaigns", s.campaignStart)
-	mux.HandleFunc("GET /v1/campaigns", s.campaignList)
-	mux.HandleFunc("GET /v1/campaigns/{id}", s.campaignStatus)
-	mux.HandleFunc("DELETE /v1/campaigns/{id}", s.campaignCancel)
-	mux.HandleFunc("GET /v1/campaigns/{id}/result", s.campaignResult)
-	mux.HandleFunc("GET /v1/campaigns/{id}/events", s.campaignEvents)
-	mux.HandleFunc("POST /v1/synth", s.synthStart)
-	mux.HandleFunc("GET /v1/synth", s.synthList)
-	mux.HandleFunc("GET /v1/synth/{id}", s.synthStatus)
-	mux.HandleFunc("DELETE /v1/synth/{id}", s.synthCancel)
-	mux.HandleFunc("GET /v1/synth/{id}/region", s.synthRegion)
-	mux.HandleFunc("GET /v1/synth/{id}/events", s.synthEvents)
+	mountExplorations(mux, campaignRoutes(camps))
+	mountExplorations(mux, synthRoutes(synths))
 	mux.HandleFunc("POST /v1/compose", s.composeRun)
 	mux.HandleFunc("GET /metrics", s.metrics)
 	mux.HandleFunc("GET /healthz", s.health)
@@ -485,33 +475,16 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 		gauge("store_bytes", "Bytes currently in the store.", float64(ss.Bytes))
 	}
 
-	// Campaign engine counters.
+	// Exploration engine counters: the kernel's shared families, then each
+	// kind's own.
 	cm := s.camps.Metrics()
-	counter("campaign_started_total", "Campaigns started fresh.", cm.Started)
-	counter("campaign_resumed_total", "Campaigns resumed from a checkpoint.", cm.Resumed)
-	counter("campaign_done_total", "Campaigns completed.", cm.Done)
-	counter("campaign_failed_total", "Campaigns failed.", cm.Failed)
-	counter("campaign_canceled_total", "Campaigns canceled.", cm.Canceled)
-	counter("campaign_points_computed_total", "Campaign points answered by a fresh run.", cm.PointsComputed)
-	counter("campaign_points_cache_memory_total", "Campaign points answered by the memory cache.", cm.PointsCacheMemory)
-	counter("campaign_points_cache_disk_total", "Campaign points answered by the persistent tier.", cm.PointsCacheDisk)
-	counter("campaign_points_checkpoint_total", "Campaign points answered by resumed checkpoints.", cm.PointsCheckpoint)
+	exploreCounters(counter, "campaign", "Campaigns", "Campaign", cm.Metrics)
 	counter("campaign_points_failed_total", "Campaign points whose runs failed.", cm.PointsFailed)
 	counter("campaign_bisect_iterations_total", "Interior bisection iterations across campaigns.", cm.BisectIterations)
 	counter("campaign_frontier_rows_total", "Frontier rows completed across campaigns.", cm.FrontierRows)
 	counter("campaign_bracket_reuses_total", "Frontier rows whose bisection bracket was seeded adaptively.", cm.BracketReuses)
-
-	// Region synthesis engine counters.
 	sm := s.synths.Metrics()
-	counter("synth_started_total", "Syntheses started fresh.", sm.Started)
-	counter("synth_resumed_total", "Syntheses resumed from a checkpoint.", sm.Resumed)
-	counter("synth_done_total", "Syntheses completed.", sm.Done)
-	counter("synth_failed_total", "Syntheses failed.", sm.Failed)
-	counter("synth_canceled_total", "Syntheses canceled.", sm.Canceled)
-	counter("synth_points_computed_total", "Synthesis points answered by a fresh run.", sm.PointsComputed)
-	counter("synth_points_cache_memory_total", "Synthesis points answered by the memory cache.", sm.PointsCacheMemory)
-	counter("synth_points_cache_disk_total", "Synthesis points answered by the persistent tier.", sm.PointsCacheDisk)
-	counter("synth_points_checkpoint_total", "Synthesis points answered by resumed checkpoints.", sm.PointsCheckpoint)
+	exploreCounters(counter, "synth", "Syntheses", "Synthesis", sm.Metrics)
 	counter("synth_boxes_classified_total", "Region boxes classified across syntheses.", sm.BoxesClassified)
 	counter("synth_splits_total", "Box splits across syntheses.", sm.Splits)
 	counter("synth_bisect_iterations_total", "1-D bisection iterations across syntheses.", sm.BisectIterations)

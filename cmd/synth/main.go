@@ -34,207 +34,63 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
+	"log/slog"
 	"os"
-	"runtime"
 	"time"
 
-	"stopwatchsim/internal/config"
-	"stopwatchsim/internal/diag"
+	"stopwatchsim/internal/explore"
 	"stopwatchsim/internal/jobs"
-	"stopwatchsim/internal/obs"
 	"stopwatchsim/internal/store"
 	"stopwatchsim/internal/synth"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(diag.ExitUsage)
-	}
-	var code int
-	switch os.Args[1] {
-	case "run":
-		code = cmdRun(os.Args[2:])
-	case "resume":
-		code = cmdResume(os.Args[2:])
-	case "status":
-		code = cmdStatus(os.Args[2:])
-	case "export":
-		code = cmdExport(os.Args[2:])
-	case "space":
-		code = cmdSpace(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "synth: unknown subcommand %q\n", os.Args[1])
-		usage()
-		code = diag.ExitUsage
-	}
-	os.Exit(code)
-}
-
-func usage() {
-	fmt.Fprint(os.Stderr, `usage:
+var cli = &explore.Command[synth.State, *synth.Space]{
+	Name:    "synth",
+	Input:   "space",
+	Noun:    "synthesis",
+	Plural:  "syntheses",
+	Counted: "synthesis(es)",
+	Usage: `usage:
   synth run    -space space.json -store DIR [-base system.xml] [-workers N] [-report out.json]
   synth resume -store DIR [-workers N]
   synth status -store DIR [-id ID]
   synth export -store DIR -id ID [-o out.json]
   synth space  -space space.json [-base system.xml]
-`)
-}
-
-// openStore opens the artifact store with the synthesis checkpoint kind
-// pinned (exempt from GC).
-func openStore(dir string) (*store.Store, error) {
-	return store.Open(dir, store.Options{PinnedKinds: []string{synth.StoreKind()}})
-}
-
-// fail prints the error and returns its diag exit code.
-func fail(err error) int {
-	rep := diag.FromError("synth", err, nil)
-	fmt.Fprintln(os.Stderr, "synth:", rep.Message)
-	return rep.ExitCode
-}
-
-// loadSpace reads the space file, injecting the base system from basePath
-// (XML) when the space carries none of its own.
-func loadSpace(spacePath, basePath string) (*synth.Space, error) {
-	f, err := os.Open(spacePath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return synth.ParseSpaceBase(f, func() (*config.System, error) {
-		if basePath == "" {
-			return nil, nil
+`,
+	InputHelp:  "synthesis space JSON",
+	ReportHelp: "write the final region JSON (synth/region/v1) to this file",
+	Parse:      synth.ParseSpaceBase,
+	OpenStore: func(dir string) (*store.Store, error) {
+		// The synthesis checkpoint kind is pinned (exempt from GC).
+		return store.Open(dir, store.Options{PinnedKinds: []string{synth.StoreKind()}})
+	},
+	NewPool: func(workers int, lg *slog.Logger, st *store.Store) *jobs.Pool {
+		return jobs.New(jobs.Options{Workers: workers, Tool: "synth", Logger: lg, Store: st})
+	},
+	NewEngine: func(pool *jobs.Pool, st *store.Store, lg *slog.Logger) explore.Runs[synth.State, *synth.Space] {
+		return synth.NewEngine(pool, st, lg)
+	},
+	Started: func(st synth.State) {
+		fmt.Fprintf(os.Stderr, "synth %s (%s, %d dims): %d points checkpointed\n",
+			st.ID[:12], st.Name, len(st.Space.Dims), len(st.Points))
+	},
+	Show: printState,
+	Row: func(st synth.State) string {
+		return fmt.Sprintf("%s  %d dims  %-8s  %4d points  %s", st.ID[:12], len(st.Space.Dims), st.Status, len(st.Points), st.Name)
+	},
+	// The region's counts block carries the evaluation/engine-run
+	// accounting synth-vs-grid comparisons read; a region only exists
+	// once the synthesis is terminal.
+	Export: func(st synth.State) (any, error) {
+		if st.Region == nil {
+			return nil, fmt.Errorf("synthesis %s is %s and has no region yet", st.ID[:12], st.Status)
 		}
-		bf, err := os.Open(basePath)
-		if err != nil {
-			return nil, err
-		}
-		defer bf.Close()
-		return config.ReadXML(bf)
-	})
+		return st.Region, nil
+	},
 }
 
-func cmdRun(args []string) int {
-	fs := flag.NewFlagSet("synth run", flag.ExitOnError)
-	spacePath := fs.String("space", "", "synthesis space JSON (required)")
-	storeDir := fs.String("store", "", "artifact store directory (required)")
-	basePath := fs.String("base", "", "base system XML to inject into the space")
-	workers := fs.Int("workers", runtime.NumCPU(), "concurrent analysis runs")
-	report := fs.String("report", "", "write the final region JSON (synth/region/v1) to this file")
-	logger := obs.LogFlagsFor(fs)
-	fs.Parse(args)
-	lg := logger()
-	if *spacePath == "" || *storeDir == "" {
-		fs.Usage()
-		return diag.ExitUsage
-	}
-
-	space, err := loadSpace(*spacePath, *basePath)
-	if err != nil {
-		return fail(err)
-	}
-
-	st, err := openStore(*storeDir)
-	if err != nil {
-		return fail(err)
-	}
-	defer st.Close()
-	pool := jobs.New(jobs.Options{Workers: *workers, Tool: "synth", Logger: lg, Store: st})
-	defer pool.Close()
-	eng := synth.NewEngine(pool, st, lg)
-
-	started, err := eng.Start(space)
-	if err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "synth %s (%s, %d dims): %d points checkpointed\n",
-		started.ID[:12], started.Name, len(started.Space.Dims), len(started.Points))
-	code := awaitSyntheses(eng, st, []string{started.ID})
-	if *report != "" && code != diag.ExitBudget {
-		if final, ok := eng.Get(started.ID); ok && final.Region != nil {
-			if err := writeRegion(*report, final.Region); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	return code
-}
-
-// writeRegion writes a region JSON — the exact document `synth export`
-// produces — to path.
-func writeRegion(path string, r *synth.Region) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func cmdResume(args []string) int {
-	fs := flag.NewFlagSet("synth resume", flag.ExitOnError)
-	storeDir := fs.String("store", "", "artifact store directory (required)")
-	workers := fs.Int("workers", runtime.NumCPU(), "concurrent analysis runs")
-	logger := obs.LogFlagsFor(fs)
-	fs.Parse(args)
-	lg := logger()
-	if *storeDir == "" {
-		fs.Usage()
-		return diag.ExitUsage
-	}
-
-	st, err := openStore(*storeDir)
-	if err != nil {
-		return fail(err)
-	}
-	defer st.Close()
-	pool := jobs.New(jobs.Options{Workers: *workers, Tool: "synth", Logger: lg, Store: st})
-	defer pool.Close()
-	eng := synth.NewEngine(pool, st, lg)
-
-	resumed := eng.ResumeAll()
-	if len(resumed) == 0 {
-		fmt.Fprintln(os.Stderr, "synth: nothing to resume")
-		return diag.ExitOK
-	}
-	fmt.Fprintf(os.Stderr, "synth: resuming %d synthesis(es)\n", len(resumed))
-	return awaitSyntheses(eng, st, resumed)
-}
-
-// awaitSyntheses waits for the syntheses to finish, printing each final
-// state. On SIGINT/SIGTERM it exits without canceling: the checkpoints
-// still say "running", so `synth resume` picks the work back up.
-func awaitSyntheses(eng *synth.Engine, st *store.Store, ids []string) int {
-	ctx, stop := diag.SignalContext()
-	defer stop()
-	code := diag.ExitOK
-	for _, id := range ids {
-		final, err := eng.Wait(ctx, id)
-		if err != nil {
-			if ctx.Err() != nil {
-				fmt.Fprintf(os.Stderr, "synth: interrupted; progress is checkpointed, run `synth resume -store %s` to continue\n", st.Dir())
-				return diag.ExitBudget
-			}
-			return fail(err)
-		}
-		printState(final)
-		if final.Status != synth.StatusDone {
-			code = diag.ExitError
-		}
-	}
-	return code
-}
+func main() { os.Exit(cli.Main(os.Args[1:])) }
 
 func printState(st synth.State) {
 	c := st.Counts
@@ -255,123 +111,4 @@ func printState(st synth.State) {
 		}
 		fmt.Fprintln(os.Stderr)
 	}
-}
-
-// cmdSpace validates a space, merges -base into it, and prints the
-// self-contained space JSON — suitable as the body of POST /v1/synth.
-func cmdSpace(args []string) int {
-	fs := flag.NewFlagSet("synth space", flag.ExitOnError)
-	spacePath := fs.String("space", "", "synthesis space JSON (required)")
-	basePath := fs.String("base", "", "base system XML to inject into the space")
-	fs.Parse(args)
-	if *spacePath == "" {
-		fs.Usage()
-		return diag.ExitUsage
-	}
-	space, err := loadSpace(*spacePath, *basePath)
-	if err != nil {
-		return fail(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(space); err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "synth: space fingerprint %s\n", space.Fingerprint())
-	return diag.ExitOK
-}
-
-func cmdStatus(args []string) int {
-	fs := flag.NewFlagSet("synth status", flag.ExitOnError)
-	storeDir := fs.String("store", "", "artifact store directory (required)")
-	id := fs.String("id", "", "show one synthesis in full")
-	fs.Parse(args)
-	if *storeDir == "" {
-		fs.Usage()
-		return diag.ExitUsage
-	}
-	st, err := openStore(*storeDir)
-	if err != nil {
-		return fail(err)
-	}
-	defer st.Close()
-	// A pool is required by the engine but no jobs run under status.
-	pool := jobs.New(jobs.Options{Workers: 1, Tool: "synth"})
-	defer pool.Close()
-	eng := synth.NewEngine(pool, st, nil)
-	eng.RegisterAll()
-
-	if *id != "" {
-		state, ok := eng.Get(*id)
-		if !ok {
-			return fail(fmt.Errorf("unknown synthesis %q", *id))
-		}
-		printState(state)
-		return diag.ExitOK
-	}
-	all := eng.List()
-	if len(all) == 0 {
-		fmt.Fprintln(os.Stderr, "synth: store holds no syntheses")
-		return diag.ExitOK
-	}
-	for _, state := range all {
-		fmt.Fprintf(os.Stdout, "%s  %d dims  %-8s  %4d points  %s\n",
-			state.ID[:12], len(state.Space.Dims), state.Status, len(state.Points), state.Name)
-	}
-	return diag.ExitOK
-}
-
-func cmdExport(args []string) int {
-	fs := flag.NewFlagSet("synth export", flag.ExitOnError)
-	storeDir := fs.String("store", "", "artifact store directory (required)")
-	id := fs.String("id", "", "synthesis ID (required; prefix accepted)")
-	out := fs.String("o", "", "output file (default stdout)")
-	fs.Parse(args)
-	if *storeDir == "" || *id == "" {
-		fs.Usage()
-		return diag.ExitUsage
-	}
-	st, err := openStore(*storeDir)
-	if err != nil {
-		return fail(err)
-	}
-	defer st.Close()
-	pool := jobs.New(jobs.Options{Workers: 1, Tool: "synth"})
-	defer pool.Close()
-	eng := synth.NewEngine(pool, st, nil)
-	eng.RegisterAll()
-
-	state, ok := eng.Get(*id)
-	if !ok {
-		// Accept an unambiguous ID prefix, as git does.
-		var matches []synth.State
-		for _, s := range eng.List() {
-			if len(*id) >= 4 && len(*id) <= len(s.ID) && s.ID[:len(*id)] == *id {
-				matches = append(matches, s)
-			}
-		}
-		if len(matches) != 1 {
-			return fail(fmt.Errorf("unknown synthesis %q", *id))
-		}
-		state = matches[0]
-	}
-	if state.Region == nil {
-		return fail(fmt.Errorf("synthesis %s is %s and has no region yet", state.ID[:12], state.Status))
-	}
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(state.Region); err != nil {
-		return fail(err)
-	}
-	return diag.ExitOK
 }

@@ -5,14 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
-	"sync"
-	"time"
+	"sync/atomic"
 
-	"stopwatchsim/internal/config"
-	"stopwatchsim/internal/fault"
+	"stopwatchsim/internal/explore"
 	"stopwatchsim/internal/jobs"
-	"stopwatchsim/internal/obs"
 	"stopwatchsim/internal/store"
 )
 
@@ -22,68 +18,67 @@ var (
 	ErrUnknownCampaign = errors.New("campaign: unknown campaign")
 )
 
-// Engine orchestrates campaigns over a shared jobs.Pool, checkpointing
-// state to an artifact store after every completed point. The store may be
-// nil, in which case campaigns run memory-only (no resume across
-// restarts). One Engine serves many concurrent campaigns; each runs in
-// its own goroutine and fans its points through the pool.
+// Engine orchestrates campaigns on the exploration kernel: the kernel
+// owns the registry, checkpoints, point evaluation and the ops view; the
+// campaign strategies are its point generators.
 type Engine struct {
-	pool *jobs.Pool
-	st   *store.Store
-	lg   *slog.Logger
+	*explore.Engine[State, Event]
 
-	mu      sync.Mutex
-	camps   map[string]*Campaign
-	metrics EngineMetrics
+	bisectIterations, frontierRows, bracketReuses atomic.Int64
 }
 
 // EngineMetrics are the campaign-level telemetry counters, exposed by
 // cmd/saserve as the saserve_campaign_* metric families.
 type EngineMetrics struct {
-	Started  int64 `json:"started"`
-	Resumed  int64 `json:"resumed"`
-	Done     int64 `json:"done"`
-	Failed   int64 `json:"failed"`
-	Canceled int64 `json:"canceled"`
-
-	PointsComputed    int64 `json:"points_computed"`
-	PointsCacheMemory int64 `json:"points_cache_memory"`
-	PointsCacheDisk   int64 `json:"points_cache_disk"`
-	PointsCheckpoint  int64 `json:"points_checkpoint"`
-	PointsFailed      int64 `json:"points_failed"`
+	explore.Metrics
 
 	BisectIterations int64 `json:"bisect_iterations"`
 	FrontierRows     int64 `json:"frontier_rows"`
 	BracketReuses    int64 `json:"bracket_reuses"`
 }
 
-// Campaign is one registered exploration.
-type Campaign struct {
-	eng *Engine
+// Event is one record on a campaign's live event stream (the body of the
+// GET /v1/campaigns/{id}/events SSE endpoint).
+type Event struct {
+	// Type is "point" (a point settled), "quarantine" (a point exhausted
+	// its retries) or "status" (the campaign reached a terminal state).
+	Type     string `json:"type"`
+	Campaign string `json:"campaign"`
+	Status   string `json:"status,omitempty"`
 
-	mu        sync.Mutex
-	state     *State
-	completed map[string]*PointResult // fingerprint → recorded result
-	recorded  map[string]bool         // Point.Key() → present in state.Points
-	failedAt  map[string]int          // Point.Key() → index of a quarantined record
+	// Point fields, set on point/quarantine events.
+	Point       string `json:"point,omitempty"`
+	Source      string `json:"source,omitempty"`
+	Schedulable bool   `json:"schedulable,omitempty"`
+	Trace       string `json:"traceparent,omitempty"`
 
-	// Ops view: the live event hub, the root trace context (zero when the
-	// pool does not trace), the settled-point duration histogram feeding
-	// the ETA, and the known point total (0 when open-ended). trace and
-	// total are set before launch and read-only after.
-	hub   obs.EventHub
-	trace obs.TraceContext
-	durs  *obs.Histogram
-	total int
-
-	cancel context.CancelFunc
-	done   chan struct{}
+	// Progress against the known total: grid strategies know it, the
+	// others are open-ended (Total 0).
+	explore.Progress
 }
 
 // NewEngine creates an engine over the pool, checkpointing to st (nil
 // disables persistence). The logger may be nil.
 func NewEngine(pool *jobs.Pool, st *store.Store, lg *slog.Logger) *Engine {
-	return &Engine{pool: pool, st: st, lg: lg, camps: make(map[string]*Campaign)}
+	e := &Engine{}
+	e.Engine = explore.New(pool, st, lg, explore.Kind[State, Event]{
+		Name:    stateKind,
+		Noun:    "campaign",
+		Unknown: ErrUnknownCampaign,
+		Valid:   func(s *State) bool { return s.Version == stateVersion && s.Spec != nil },
+		Header: func(s *State) explore.Header {
+			return explore.Header{ID: &s.ID, Name: &s.Name, Status: &s.Status, Error: &s.Error,
+				StartedAt: &s.StartedAt, UpdatedAt: &s.UpdatedAt, Trace: &s.Trace}
+		},
+		Clone:  (*State).clone,
+		Detail: func(s *State) string { return s.Strategy },
+		Event: func(id string, n explore.Note) Event {
+			return Event{Type: n.Type, Campaign: id, Status: n.Status, Point: n.Point,
+				Source: n.Source, Schedulable: n.Verdict, Trace: n.Trace, Progress: n.Progress}
+		},
+		Attach: e.attach,
+	})
+	return e
 }
 
 // StoreKind returns the store kind campaign checkpoints are written
@@ -101,117 +96,46 @@ func (e *Engine) Start(spec *Spec) (State, error) {
 		return State{}, err
 	}
 	id := spec.Fingerprint()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c := e.camps[id]; c != nil {
-		return c.snapshot(), nil
-	}
-	st := e.loadState(id)
-	resumed := st != nil
-	if st == nil {
-		st = &State{
-			Version:  stateVersion,
-			ID:       id,
-			Name:     spec.Name,
-			Strategy: spec.Strategy,
-			Status:   StatusRunning,
-			Spec:     spec,
-		}
-	}
-	c := e.registerLocked(st)
-	if st.Status == StatusRunning {
-		if resumed {
-			e.metrics.Resumed++
-		} else {
-			e.metrics.Started++
-		}
-		e.launchLocked(c)
-	}
-	return c.snapshot(), nil
+	return e.Engine.Start(id, func() *State {
+		return &State{Version: stateVersion, ID: id, Name: spec.Name, Strategy: spec.Strategy,
+			Status: StatusRunning, Spec: spec}
+	}), nil
 }
 
-// ResumeAll loads every campaign checkpoint from the store into the
-// registry and relaunches the ones a crash interrupted (status still
-// "running"). It returns the IDs of relaunched campaigns. Campaigns that
-// had finished are registered inert so their state and summary remain
-// queryable after a restart.
-func (e *Engine) ResumeAll() []string {
-	if e.st == nil {
-		return nil
-	}
-	var resumed []string
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, id := range e.st.Keys(stateKind) {
-		if e.camps[id] != nil {
-			continue
-		}
-		st := e.loadState(id)
-		if st == nil {
-			continue
-		}
-		c := e.registerLocked(st)
-		if st.Status == StatusRunning {
-			e.metrics.Resumed++
-			e.launchLocked(c)
-			resumed = append(resumed, id)
-		}
-	}
-	sort.Strings(resumed)
-	return resumed
-}
-
-// RegisterAll loads every campaign checkpoint into the registry without
-// relaunching any — the read-only counterpart of ResumeAll, for status and
-// export tooling. Checkpoints still marked running register as inert too;
-// Wait on them would block, so callers should only inspect state.
-func (e *Engine) RegisterAll() {
-	if e.st == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, id := range e.st.Keys(stateKind) {
-		if e.camps[id] != nil {
-			continue
-		}
-		if st := e.loadState(id); st != nil {
-			c := e.registerLocked(st)
-			if st.Status == StatusRunning {
-				// Not launched: mark done so Wait callers cannot hang on a
-				// campaign nobody is running.
-				close(c.done)
-			}
-		}
+// Metrics returns a snapshot of the campaign-level counters.
+func (e *Engine) Metrics() EngineMetrics {
+	return EngineMetrics{
+		Metrics:          e.Engine.Metrics(),
+		BisectIterations: e.bisectIterations.Load(),
+		FrontierRows:     e.frontierRows.Load(),
+		BracketReuses:    e.bracketReuses.Load(),
 	}
 }
 
-// loadState reads a checkpoint, nil when absent, unreadable, or a foreign
-// schema version.
-func (e *Engine) loadState(id string) *State {
-	if e.st == nil {
-		return nil
-	}
-	var st State
-	ok, err := e.st.Get(stateKind, id, &st)
-	if err != nil || !ok || st.Version != stateVersion || st.Spec == nil {
-		return nil
-	}
-	return &st
+// Campaign is the per-campaign half of one registered run: the strategy
+// driving it and the indices over its recorded points. The indices and
+// state belong to the run's lock.
+type Campaign struct {
+	*explore.Run[State, Event]
+	eng   *Engine
+	spec  *Spec
+	state *State
+	total int // grid point count, 0 when open-ended
+
+	completed map[string]*PointResult // fingerprint → recorded result
+	recorded  map[string]bool         // Point.Key() → present in state.Points
+	failedAt  map[string]int          // Point.Key() → index of a quarantined record
 }
 
-// registerLocked adds a campaign for st to the registry. Terminal states
-// get an already-closed done channel. Callers hold e.mu.
-func (e *Engine) registerLocked(st *State) *Campaign {
+func (e *Engine) attach(r *explore.Run[State, Event], st *State) explore.Explorer {
 	c := &Campaign{
+		Run:       r,
 		eng:       e,
+		spec:      st.Spec,
 		state:     st,
 		completed: make(map[string]*PointResult, len(st.Points)),
 		recorded:  make(map[string]bool, len(st.Points)),
 		failedAt:  make(map[string]int),
-		durs:      obs.NewHistogram(0, 1, nil),
-		done:      make(chan struct{}),
 	}
 	if st.Spec.Strategy == StrategyGrid {
 		c.total = st.Spec.gridSize()
@@ -228,425 +152,110 @@ func (e *Engine) registerLocked(st *State) *Campaign {
 		}
 		c.recorded[pr.Point.Key()] = true
 	}
-	if st.Status != StatusRunning {
-		close(c.done)
-	}
-	e.camps[st.ID] = c
 	return c
 }
 
-// launchLocked starts the campaign goroutine. Callers hold e.mu.
-func (e *Engine) launchLocked(c *Campaign) {
-	c.armTraceLocked()
-	ctx, cancel := context.WithCancel(context.Background())
-	c.cancel = cancel
-	go c.run(ctx)
-}
-
-// Get returns a snapshot of the campaign's state.
-func (e *Engine) Get(id string) (State, bool) {
-	e.mu.Lock()
-	c := e.camps[id]
-	e.mu.Unlock()
-	if c == nil {
-		return State{}, false
-	}
-	return c.snapshot(), true
-}
-
-// List returns snapshots of all registered campaigns, ordered by ID.
-func (e *Engine) List() []State {
-	e.mu.Lock()
-	cs := make([]*Campaign, 0, len(e.camps))
-	for _, c := range e.camps {
-		cs = append(cs, c)
-	}
-	e.mu.Unlock()
-	out := make([]State, len(cs))
-	for i, c := range cs {
-		out[i] = c.snapshot()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Cancel requests cancellation of a running campaign. It returns false
-// when the campaign is unknown or already terminal.
-func (e *Engine) Cancel(id string) bool {
-	e.mu.Lock()
-	c := e.camps[id]
-	e.mu.Unlock()
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	running := c.state.Status == StatusRunning && c.cancel != nil
-	c.mu.Unlock()
-	if running {
-		c.cancel()
-	}
-	return running
-}
-
-// Wait blocks until the campaign reaches a terminal state or ctx is done.
-func (e *Engine) Wait(ctx context.Context, id string) (State, error) {
-	e.mu.Lock()
-	c := e.camps[id]
-	e.mu.Unlock()
-	if c == nil {
-		return State{}, ErrUnknownCampaign
-	}
-	select {
-	case <-c.done:
-	case <-ctx.Done():
-		return State{}, ctx.Err()
-	}
-	return c.snapshot(), nil
-}
-
-// Metrics returns a snapshot of the campaign-level counters.
-func (e *Engine) Metrics() EngineMetrics {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.metrics
-}
-
-func (e *Engine) count(f func(*EngineMetrics)) {
-	e.mu.Lock()
-	f(&e.metrics)
-	e.mu.Unlock()
-}
-
-func (c *Campaign) snapshot() State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state.clone()
-}
-
-// checkpoint persists the current state (after stamping UpdatedAt) so a
-// crash at any later instant resumes from here. Persistence failures are
-// logged, not fatal: the campaign still completes in memory.
-func (c *Campaign) checkpoint() {
-	c.mu.Lock()
-	c.state.UpdatedAt = time.Now().UTC().Format(time.RFC3339Nano)
-	snap := c.state.clone()
-	c.mu.Unlock()
-	if c.eng.st == nil {
-		return
-	}
-	// Checkpoints ride through transient store faults on the same retry
-	// policy as the pool's disk tier; an exhausted failure is still only
-	// logged — the campaign completes in memory and the previous
-	// checkpoint stays authoritative for resume.
-	retries, err := fault.DefaultStoreRetry.Do(context.Background(), nil, func() error {
-		return c.eng.st.Put(stateKind, snap.ID, &snap)
-	})
-	c.eng.pool.Resilience().StoreRetries.Add(int64(retries))
-	if err != nil && c.eng.lg != nil {
-		c.eng.lg.Warn("campaign checkpoint failed", "campaign", snap.ID, "error", err.Error())
-	}
-}
-
-// run executes the campaign's strategy to a terminal state.
-func (c *Campaign) run(ctx context.Context) {
-	defer close(c.done)
-	t0 := time.Now()
-	c.mu.Lock()
-	if c.state.StartedAt == "" {
-		c.state.StartedAt = time.Now().UTC().Format(time.RFC3339Nano)
-	}
-	spec := c.state.Spec
-	c.mu.Unlock()
-	c.checkpoint()
-	lg := c.logger()
-	if lg != nil {
-		lg.Info("campaign running", "strategy", spec.Strategy, "points_done", len(c.snapshot().Points))
-	}
-
-	var err error
-	switch spec.Strategy {
+// Explore runs the campaign's strategy.
+func (c *Campaign) Explore(ctx context.Context) error {
+	switch c.spec.Strategy {
 	case StrategyGrid:
-		err = c.runGrid(ctx, spec)
+		return c.runGrid(ctx)
 	case StrategyBisect:
-		err = c.runBisect(ctx, spec)
+		return c.runBisect(ctx)
 	case StrategyFrontier:
-		err = c.runFrontier(ctx, spec)
-	default:
-		err = fmt.Errorf("campaign: unknown strategy %q", spec.Strategy)
+		return c.runFrontier(ctx)
 	}
-
-	status := StatusDone
-	switch {
-	case err == nil:
-	case errors.Is(err, context.Canceled):
-		status = StatusCanceled
-	default:
-		status = StatusFailed
-	}
-	c.mu.Lock()
-	c.state.Status = status
-	if err != nil && status == StatusFailed {
-		c.state.Error = err.Error()
-	}
-	c.mu.Unlock()
-	c.checkpoint()
-	if tr := c.eng.pool.Tracer(); tr != nil && c.trace.Valid() {
-		// The exploration's root span: parentless, covering this process's
-		// share of the campaign (a resumed campaign records one per leg).
-		tr.Record(c.trace, [8]byte{}, "campaign", spec.Strategy, t0.UnixNano(), time.Since(t0).Nanoseconds())
-	}
-	c.publishStatus(status)
-	c.eng.count(func(m *EngineMetrics) {
-		switch status {
-		case StatusDone:
-			m.Done++
-		case StatusFailed:
-			m.Failed++
-		case StatusCanceled:
-			m.Canceled++
-		}
-	})
-	if lg != nil {
-		if err != nil {
-			lg.Warn("campaign finished", "status", status, "error", err.Error())
-		} else {
-			lg.Info("campaign finished", "status", status, "points", len(c.snapshot().Points))
-		}
-	}
+	return fmt.Errorf("campaign: unknown strategy %q", c.spec.Strategy)
 }
 
-func (c *Campaign) logger() *slog.Logger {
-	if c.eng.lg == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.eng.lg.With(slog.String("campaign", c.state.ID), slog.String("name", c.state.Name))
+// Finish has nothing to fold in: strategies record their results as
+// they go.
+func (c *Campaign) Finish(string) {}
+
+// Progress counts recorded points against the grid total.
+func (c *Campaign) Progress() (done, total, par int) {
+	return len(c.state.Points), c.total, c.spec.parallel()
 }
 
-// evaluate answers one point: from the resumed checkpoint when its
-// fingerprint is already recorded, otherwise through the pool (which
-// consults its memory and disk tiers before interpreting). A returned
-// *PointResult with Source == SourceFailed carries a failed run; the
-// error return is reserved for campaign-level aborts (cancellation,
-// materialization bugs, pool shutdown).
-func (c *Campaign) evaluate(ctx context.Context, spec *Spec, pt Point) (*PointResult, error) {
-	sys, err := Materialize(spec, pt)
-	if err != nil {
-		return nil, err
-	}
-	fp := sys.Fingerprint()
-	if pr, ok := c.checkpointHit(pt, fp); ok {
-		return pr, nil
-	}
-	// Every point gets a child span of the exploration's root trace (when
-	// the pool traces); the job it submits links its submit/queue/run/
-	// engine-phase spans under it.
-	tc := c.pointTrace()
-	start := time.Now()
-	done, err := c.attempt(ctx, sys, tc)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := c.settle(ctx, spec, sys, pt, fp, done, tc)
-	c.closePointSpan(tc, pt, start)
-	return pr, err
-}
-
-// attempt runs one evaluation attempt through the pool, with the
-// campaign-level fault site applied first (an injected fault is a failed
-// attempt that never consumed a pool slot). When the wait dies — the
-// campaign was canceled or the engine is shutting down — the cancellation
-// is propagated into the pool so the in-flight job stops promptly instead
-// of running to completion for nobody.
-func (c *Campaign) attempt(ctx context.Context, sys *config.System, tc obs.TraceContext) (jobs.Job, error) {
-	if f := c.eng.pool.Faults().Hit(fault.SiteCampaignPoint); f != nil {
-		return jobs.Job{Status: jobs.StatusFailed, Err: f.Err()}, nil
-	}
-	jb, err := c.submit(ctx, sys, tc)
-	if err != nil {
-		return jobs.Job{}, err
-	}
-	done, err := c.eng.pool.Wait(ctx, jb.ID)
-	if err != nil {
-		c.eng.pool.Cancel(jb.ID)
-		return jobs.Job{}, err
-	}
-	return done, nil
-}
-
-// settle resolves one point from its first attempt's terminal job,
-// retrying failed attempts (with doubling backoff) up to the spec's
-// quarantine budget before recording the final result. A point that
-// exhausts its retries is quarantined: recorded failed, counted, and the
-// campaign moves on.
-func (c *Campaign) settle(ctx context.Context, spec *Spec, sys *config.System, pt Point, fp string, done jobs.Job, tc obs.TraceContext) (*PointResult, error) {
-	for attempt := 0; done.Status == jobs.StatusFailed && attempt < spec.retries(); attempt++ {
-		c.mu.Lock()
-		c.state.Convergence.Retries++
-		c.mu.Unlock()
-		c.eng.pool.Resilience().PointRetries.Add(1)
-		if lg := c.logger(); lg != nil {
-			msg := "run failed"
-			if done.Err != nil {
-				msg = done.Err.Error()
+// evaluate answers pts through the kernel, par at a time, and returns
+// each point's recorded result (a quarantined point has Source
+// SourceFailed). Points already recorded — from the resumed checkpoint,
+// or from an earlier point of this run that materialized to the same
+// configuration — answer from the state without touching the pool.
+func (c *Campaign) evaluate(ctx context.Context, pts []Point, par int) ([]PointResult, error) {
+	out := make([]PointResult, len(pts))
+	err := c.Evaluate(ctx, explore.Batch{
+		N:     len(pts),
+		Par:   par,
+		Retry: explore.Retry{Attempts: c.spec.retries(), Backoff: c.spec.retryBackoff()},
+		Prepare: func(i int) (explore.Point, error) {
+			sys, err := Materialize(c.spec, pts[i])
+			if err != nil {
+				return explore.Point{}, err
 			}
-			lg.Warn("point attempt failed; retrying", "point", pt.Key(), "attempt", attempt+1, "error", msg)
-		}
-		if err := fault.SleepContext(ctx, spec.retryBackoff()<<attempt); err != nil {
-			return nil, err
-		}
-		var err error
-		done, err = c.attempt(ctx, sys, tc)
-		if err != nil {
-			return nil, err
-		}
-	}
-	pr, err := c.record(pt, fp, done, tc)
-	if err != nil {
-		return nil, err
-	}
-	if pr.Source == SourceFailed {
-		c.eng.pool.Resilience().PointsQuarantined.Add(1)
-		c.eng.pool.ServiceFlight().RecordWall(obs.FlightQuarantine, 0, 0, pt.Key())
-		if lg := c.logger(); lg != nil {
-			lg.Warn("point quarantined", "point", pt.Key(), "error", pr.Error)
-		}
-	}
-	c.publishPoint(pr)
-	return pr, nil
+			return explore.Point{Key: pts[i].Key(), Sys: sys, FP: sys.Fingerprint()}, nil
+		},
+		Hit: func(i int, p explore.Point) (explore.Result, bool, bool) {
+			pr := c.completed[p.FP]
+			if pr == nil {
+				return explore.Result{}, false, false
+			}
+			c.state.Convergence.CheckpointHits++
+			out[i] = *pr
+			out[i].Point = pts[i]
+			// A hit at coordinates not yet in the state is recorded as a
+			// SourceCheckpoint point, so grid summaries cover every grid
+			// point even when several alias one configuration.
+			fresh := !c.recorded[p.Key]
+			if fresh {
+				out[i].Source = SourceCheckpoint
+				out[i].ElapsedNS = 0
+				c.state.Points = append(c.state.Points, out[i])
+				c.recorded[p.Key] = true
+			}
+			return explore.Result{Source: out[i].Source, Feasible: out[i].Schedulable, Trace: out[i].Trace}, fresh, true
+		},
+		Record: func(i int, p explore.Point, res explore.Result) error {
+			out[i] = PointResult{Point: pts[i], Fingerprint: p.FP, Schedulable: res.Feasible, Source: res.Source,
+				Error: res.Error, ElapsedNS: res.ElapsedNS, Trace: res.Trace, Postmortem: res.Postmortem}
+			c.record(&out[i], res)
+			return nil
+		},
+	})
+	return out, err
 }
 
-// checkpointHit answers a point whose fingerprint is already recorded —
-// from the resumed checkpoint, or from an earlier point of this run that
-// materialized to the same configuration (e.g. WCET percentages that
-// truncate to the same scaled values) — skipping the pool entirely. A hit
-// at coordinates not yet in the state is recorded as a SourceCheckpoint
-// point, so grid summaries cover every grid point even when several alias
-// one configuration.
-func (c *Campaign) checkpointHit(pt Point, fp string) (*PointResult, bool) {
-	c.mu.Lock()
-	pr := c.completed[fp]
-	var fresh bool
-	if pr != nil {
-		c.state.Convergence.CheckpointHits++
-		prCopy := *pr
-		prCopy.Point = pt
-		if key := pt.Key(); !c.recorded[key] {
-			fresh = true
-			prCopy.Source = SourceCheckpoint
-			prCopy.ElapsedNS = 0
-			c.state.Points = append(c.state.Points, prCopy)
-			c.recorded[key] = true
-		}
-		pr = &prCopy
+// record appends a settled point to the state, or — for a re-evaluation
+// of a quarantined point (resume, or a checkpointed retry) — overwrites
+// its stale failed record in place, so the state never holds two records
+// for one point. A successful result heals the point; another failure
+// just refreshes the error. Callers hold the run's lock.
+func (c *Campaign) record(pr *PointResult, res explore.Result) {
+	st := c.state
+	st.Convergence.Evaluations++
+	st.Convergence.Retries += res.Retries
+	key := pr.Point.Key()
+	if pr.Source == SourceComputed {
+		st.Stragglers = explore.Rank(st.Stragglers,
+			Straggler{Point: pr.Point, Trace: pr.Trace, ElapsedNS: pr.ElapsedNS, Phases: res.Phases},
+			func(s *Straggler) int64 { return s.ElapsedNS },
+			func(s *Straggler) bool { return s.Point.Key() == key })
 	}
-	c.mu.Unlock()
-	if pr == nil {
-		return nil, false
-	}
-	c.eng.count(func(m *EngineMetrics) { m.PointsCheckpoint++ })
-	if fresh {
-		c.checkpoint()
-		c.publishPoint(pr)
-	}
-	return pr, true
-}
-
-// record translates a finished job into the point's result, appends it to
-// the state, checkpoints, and bumps the counters. Cancellation surfaces
-// as context.Canceled so strategies unwind uniformly.
-func (c *Campaign) record(pt Point, fp string, done jobs.Job, tc obs.TraceContext) (*PointResult, error) {
-	pr := &PointResult{Point: pt, Fingerprint: fp}
-	if tc.Valid() {
-		pr.Trace = tc.Traceparent()
-	}
-	pr.Postmortem = done.PostmortemKey
-	switch {
-	case done.Status == jobs.StatusDone:
-		pr.Schedulable = done.Outcome.Verdict == jobs.VerdictSchedulable
-		pr.ElapsedNS = int64(done.Outcome.Elapsed)
-		switch {
-		case done.DiskHit:
-			pr.Source = SourceDisk
-		case done.CacheHit:
-			pr.Source = SourceMemory
-		default:
-			pr.Source = SourceComputed
-		}
-	case done.Status == jobs.StatusCanceled:
-		return nil, context.Canceled
-	default:
-		pr.Source = SourceFailed
-		if done.Err != nil {
-			pr.Error = done.Err.Error()
-		} else {
-			pr.Error = "run failed"
-		}
-	}
-
-	if pr.Source != SourceFailed {
-		c.durs.Observe(time.Duration(pr.ElapsedNS))
-	}
-	c.mu.Lock()
-	c.state.Convergence.Evaluations++
-	c.noteStragglerLocked(pr, done)
-	key := pt.Key()
 	if idx, stale := c.failedAt[key]; stale {
-		// A re-evaluation of a quarantined point (resume, or a checkpointed
-		// retry): overwrite the stale failed record in place so the state
-		// never holds two records for one point. A successful result heals
-		// the point; another failure just refreshes the error.
-		c.state.Points[idx] = *pr
+		st.Points[idx] = *pr
 		if pr.Source != SourceFailed {
 			delete(c.failedAt, key)
-			c.state.Convergence.Failed--
-			c.completed[fp] = &c.state.Points[idx]
+			st.Convergence.Failed--
+			c.completed[pr.Fingerprint] = &st.Points[idx]
 		}
-	} else {
-		c.state.Points = append(c.state.Points, *pr)
-		c.recorded[key] = true
-		if pr.Source == SourceFailed {
-			c.state.Convergence.Failed++
-			c.failedAt[key] = len(c.state.Points) - 1
-		} else {
-			c.completed[fp] = &c.state.Points[len(c.state.Points)-1]
-		}
+		return
 	}
-	c.mu.Unlock()
-	c.eng.count(func(m *EngineMetrics) {
-		switch pr.Source {
-		case SourceComputed:
-			m.PointsComputed++
-		case SourceMemory:
-			m.PointsCacheMemory++
-		case SourceDisk:
-			m.PointsCacheDisk++
-		case SourceFailed:
-			m.PointsFailed++
-		}
-	})
-	c.checkpoint()
-	return pr, nil
-}
-
-// submit enqueues the run, backing off briefly when the pool signals
-// backpressure (campaigns yield to interactive submissions rather than
-// failing).
-func (c *Campaign) submit(ctx context.Context, sys *config.System, tc obs.TraceContext) (jobs.Job, error) {
-	for {
-		jb, err := c.eng.pool.SubmitTraced(jobs.ConfigRun{Sys: sys}, c.eng.pool.DefaultBudget(), tc)
-		switch {
-		case err == nil:
-			return jb, nil
-		case errors.Is(err, jobs.ErrQueueFull):
-			select {
-			case <-ctx.Done():
-				return jobs.Job{}, ctx.Err()
-			case <-time.After(10 * time.Millisecond):
-			}
-		default:
-			return jobs.Job{}, err
-		}
+	st.Points = append(st.Points, *pr)
+	c.recorded[key] = true
+	if pr.Source == SourceFailed {
+		st.Convergence.Failed++
+		c.failedAt[key] = len(st.Points) - 1
+	} else {
+		c.completed[pr.Fingerprint] = &st.Points[len(st.Points)-1]
 	}
 }

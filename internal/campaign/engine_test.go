@@ -1,7 +1,10 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -46,104 +49,140 @@ func runCampaign(t *testing.T, eng *Engine, spec *Spec) State {
 }
 
 func TestGridCampaign(t *testing.T) {
-	pool := jobs.New(jobs.Options{Workers: 2})
-	defer pool.Close()
-	eng := NewEngine(pool, nil, nil)
+	// The summary must not depend on the pool's worker count.
+	var sums [][]byte
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			pool := jobs.New(jobs.Options{Workers: workers})
+			defer pool.Close()
+			eng := NewEngine(pool, nil, nil)
 
-	spec := &Spec{
-		Name:     "grid",
-		Strategy: StrategyGrid,
-		Base:     bdSystem(),
-		Axes:     []Axis{{Param: ParamWCETPct, Min: 100, Max: 500, Step: 100}},
-		Parallel: 2,
-	}
-	final := runCampaign(t, eng, spec)
-	if final.Status != StatusDone {
-		t.Fatalf("status = %s (%s)", final.Status, final.Error)
-	}
-	if len(final.Points) != 5 {
-		t.Fatalf("evaluated %d points, want 5", len(final.Points))
-	}
-	// Schedulable through 400%, not at 500%.
-	want := map[float64]bool{100: true, 200: true, 300: true, 400: true, 500: false}
-	for _, p := range final.Points {
-		v := p.Point[ParamWCETPct]
-		if p.Schedulable != want[v] {
-			t.Errorf("wcet_pct=%g schedulable=%v, want %v", v, p.Schedulable, want[v])
-		}
-		if p.Fingerprint == "" || p.Source == SourceFailed {
-			t.Errorf("point %s: fingerprint=%q source=%s", p.Point.Key(), p.Fingerprint, p.Source)
-		}
-	}
-	if final.Convergence.Evaluations != 5 {
-		t.Errorf("evaluations = %d, want 5", final.Convergence.Evaluations)
-	}
+			spec := &Spec{
+				Name:     "grid",
+				Strategy: StrategyGrid,
+				Base:     bdSystem(),
+				Axes:     []Axis{{Param: ParamWCETPct, Min: 100, Max: 500, Step: 100}},
+				Parallel: 2,
+			}
+			final := runCampaign(t, eng, spec)
+			if final.Status != StatusDone {
+				t.Fatalf("status = %s (%s)", final.Status, final.Error)
+			}
+			if len(final.Points) != 5 {
+				t.Fatalf("evaluated %d points, want 5", len(final.Points))
+			}
+			// Schedulable through 400%, not at 500%.
+			want := map[float64]bool{100: true, 200: true, 300: true, 400: true, 500: false}
+			for _, p := range final.Points {
+				v := p.Point[ParamWCETPct]
+				if p.Schedulable != want[v] {
+					t.Errorf("wcet_pct=%g schedulable=%v, want %v", v, p.Schedulable, want[v])
+				}
+				if p.Fingerprint == "" || p.Source == SourceFailed {
+					t.Errorf("point %s: fingerprint=%q source=%s", p.Point.Key(), p.Fingerprint, p.Source)
+				}
+			}
+			if final.Convergence.Evaluations != 5 {
+				t.Errorf("evaluations = %d, want 5", final.Convergence.Evaluations)
+			}
 
-	// Re-starting the identical spec returns the completed campaign
-	// without re-running anything (content-addressed identity).
-	again, err := eng.Start(spec)
-	if err != nil {
-		t.Fatal(err)
+			// Re-starting the identical spec returns the completed campaign
+			// without re-running anything (content-addressed identity).
+			again, err := eng.Start(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.ID != final.ID || again.Status != StatusDone {
+				t.Fatalf("restart: id=%s status=%s", again.ID, again.Status)
+			}
+			if m := eng.Metrics(); m.Started != 1 {
+				t.Errorf("started = %d, want 1", m.Started)
+			}
+			sums = append(sums, summaryJSON(t, final))
+		})
 	}
-	if again.ID != final.ID || again.Status != StatusDone {
-		t.Fatalf("restart: id=%s status=%s", again.ID, again.Status)
-	}
-	if m := eng.Metrics(); m.Started != 1 {
-		t.Errorf("started = %d, want 1", m.Started)
-	}
+	sameSummaries(t, sums)
 }
 
 // TestBisectMatchesGrid is the acceptance criterion: breakdown bisection
 // converges to the same critical point an exhaustive sweep finds.
 func TestBisectMatchesGrid(t *testing.T) {
-	pool := jobs.New(jobs.Options{Workers: 2})
-	defer pool.Close()
-	eng := NewEngine(pool, nil, nil)
+	// Both summaries must not depend on the pool's worker count.
+	var sums [][]byte
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			pool := jobs.New(jobs.Options{Workers: workers})
+			defer pool.Close()
+			eng := NewEngine(pool, nil, nil)
 
-	bis := runCampaign(t, eng, &Spec{
-		Name:     "bisect",
-		Strategy: StrategyBisect,
-		Base:     bdSystem(),
-		Axes:     []Axis{{Param: ParamWCETPct, Min: 100, Max: 500, Tol: 1}},
-	})
-	if bis.Status != StatusDone {
-		t.Fatalf("bisect status = %s (%s)", bis.Status, bis.Error)
-	}
-	if bis.Critical == nil {
-		t.Fatal("bisect found no critical point")
-	}
+			bis := runCampaign(t, eng, &Spec{
+				Name:     "bisect",
+				Strategy: StrategyBisect,
+				Base:     bdSystem(),
+				Axes:     []Axis{{Param: ParamWCETPct, Min: 100, Max: 500, Tol: 1}},
+			})
+			if bis.Status != StatusDone {
+				t.Fatalf("bisect status = %s (%s)", bis.Status, bis.Error)
+			}
+			if bis.Critical == nil {
+				t.Fatal("bisect found no critical point")
+			}
 
-	// Exhaustive scan at the same resolution over the bracketing window.
-	grid := runCampaign(t, eng, &Spec{
-		Name:     "scan",
-		Strategy: StrategyGrid,
-		Base:     bdSystem(),
-		Axes:     []Axis{{Param: ParamWCETPct, Min: 400, Max: 420, Step: 1}},
-	})
-	if grid.Status != StatusDone {
-		t.Fatalf("grid status = %s (%s)", grid.Status, grid.Error)
+			// Exhaustive scan at the same resolution over the bracketing window.
+			grid := runCampaign(t, eng, &Spec{
+				Name:     "scan",
+				Strategy: StrategyGrid,
+				Base:     bdSystem(),
+				Axes:     []Axis{{Param: ParamWCETPct, Min: 400, Max: 420, Step: 1}},
+			})
+			if grid.Status != StatusDone {
+				t.Fatalf("grid status = %s (%s)", grid.Status, grid.Error)
+			}
+			sweepCritical := 0.0
+			for _, p := range grid.Points {
+				if p.Schedulable && p.Point[ParamWCETPct] > sweepCritical {
+					sweepCritical = p.Point[ParamWCETPct]
+				}
+			}
+			if sweepCritical != 409 {
+				t.Fatalf("exhaustive sweep critical = %g, want 409", sweepCritical)
+			}
+			if *bis.Critical != sweepCritical {
+				t.Fatalf("bisect critical %g != sweep critical %g", *bis.Critical, sweepCritical)
+			}
+			// The witness bracket localizes the breakdown to one tol-wide step:
+			// critical itself schedulable, critical+tol unschedulable.
+			if b := bis.Bracket; b == nil || b.Feasible == nil || b.Infeasible == nil ||
+				*b.Feasible != 409 || *b.Infeasible != 410 {
+				t.Fatalf("bisect bracket = %+v, want [409 schedulable, 410 unschedulable]", bis.Bracket)
+			}
+			// Bisection must be cheaper than scanning the full range.
+			if bis.Convergence.Evaluations >= 40 {
+				t.Errorf("bisect used %d evaluations", bis.Convergence.Evaluations)
+			}
+			sums = append(sums, append(summaryJSON(t, bis), summaryJSON(t, grid)...))
+		})
 	}
-	sweepCritical := 0.0
-	for _, p := range grid.Points {
-		if p.Schedulable && p.Point[ParamWCETPct] > sweepCritical {
-			sweepCritical = p.Point[ParamWCETPct]
+	sameSummaries(t, sums)
+}
+
+// summaryJSON renders a state's export summary.
+func summaryJSON(t *testing.T, st State) []byte {
+	t.Helper()
+	b, err := json.Marshal(st.Summarize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// sameSummaries fails unless every run exported the same bytes.
+func sameSummaries(t *testing.T, sums [][]byte) {
+	t.Helper()
+	for i := 1; i < len(sums); i++ {
+		if !bytes.Equal(sums[i], sums[0]) {
+			t.Errorf("summary of run %d differs from run 0:\n%s\n%s", i, sums[i], sums[0])
 		}
-	}
-	if sweepCritical != 409 {
-		t.Fatalf("exhaustive sweep critical = %g, want 409", sweepCritical)
-	}
-	if *bis.Critical != sweepCritical {
-		t.Fatalf("bisect critical %g != sweep critical %g", *bis.Critical, sweepCritical)
-	}
-	// The witness bracket localizes the breakdown to one tol-wide step:
-	// critical itself schedulable, critical+tol unschedulable.
-	if b := bis.Bracket; b == nil || b.Feasible == nil || b.Infeasible == nil ||
-		*b.Feasible != 409 || *b.Infeasible != 410 {
-		t.Fatalf("bisect bracket = %+v, want [409 schedulable, 410 unschedulable]", bis.Bracket)
-	}
-	// Bisection must be cheaper than scanning the full range.
-	if bis.Convergence.Evaluations >= 40 {
-		t.Errorf("bisect used %d evaluations", bis.Convergence.Evaluations)
 	}
 }
 

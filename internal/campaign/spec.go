@@ -18,18 +18,16 @@
 package campaign
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"math"
 	"strings"
 	"time"
 
 	"stopwatchsim/internal/config"
+	"stopwatchsim/internal/explore"
 )
 
 // Strategy names.
@@ -135,6 +133,14 @@ type Spec struct {
 
 const defaultMaxPoints = 10000
 
+// Grid validation errors. Both are detected before any axis is expanded,
+// so rejecting an oversize or non-advancing grid costs the same at any
+// declared size.
+var (
+	ErrGridTooLarge = errors.New("exceeds max_points")
+	ErrStepTooSmall = errors.New("does not advance")
+)
+
 // ParseSpec decodes and validates a campaign spec from JSON.
 func ParseSpec(r io.Reader) (*Spec, error) {
 	return ParseSpecBase(r, nil)
@@ -180,8 +186,13 @@ func (s *Spec) Validate() error {
 				return err
 			}
 		}
-		if n := s.gridSize(); n > s.maxPoints() {
-			return fmt.Errorf("campaign: grid of %d points exceeds max_points %d", n, s.maxPoints())
+		// Counted, never expanded: an untrusted spec may declare any size.
+		n := 1.0
+		for i := range s.Axes {
+			n *= s.Axes[i].gridCells()
+		}
+		if !(n <= float64(s.maxPoints())) {
+			return fmt.Errorf("campaign: grid of %.0f points %w %d", n, ErrGridTooLarge, s.maxPoints())
 		}
 	case StrategyBisect:
 		if len(s.Axes) != 1 {
@@ -274,6 +285,10 @@ func (s *Spec) checkAxisBounds(a *Axis, grid bool) error {
 	if grid && a.Step <= 0 {
 		return fmt.Errorf("campaign: grid axis %q needs a positive step", a.Param)
 	}
+	if grid && (a.Min+a.Step == a.Min || a.Max+a.Step == a.Max) {
+		// In float64, 1e16+1 == 1e16: expanding such an axis never ends.
+		return fmt.Errorf("campaign: grid axis %q step %g %w its bounds", a.Param, a.Step, ErrStepTooSmall)
+	}
 	if !grid && a.Tol < 0 {
 		return fmt.Errorf("campaign: bisected axis %q has negative tol", a.Param)
 	}
@@ -281,13 +296,20 @@ func (s *Spec) checkAxisBounds(a *Axis, grid bool) error {
 }
 
 // gridValues expands a grid axis into its point values: Min, Min+Step, …
-// capped at Max.
+// capped at Max and at the arithmetic count, so float drift can never
+// expand an axis past what validation counted.
 func (a *Axis) gridValues() []float64 {
 	var vs []float64
-	for v := a.Min; v <= a.Max+1e-9; v += a.Step {
+	for v, n := a.Min, a.gridCells(); v <= a.Max+1e-9 && float64(len(vs)) < n; v += a.Step {
 		vs = append(vs, v)
 	}
 	return vs
+}
+
+// gridCells counts an axis's grid values arithmetically, without
+// expanding it: +Inf for spans no float64 count covers.
+func (a *Axis) gridCells() float64 {
+	return math.Floor((a.Max+1e-9-a.Min)/a.Step) + 1
 }
 
 // tol returns the bisection resolution, defaulting to 1.
@@ -354,69 +376,36 @@ const fpVersion = "stopwatchsim/campaign/v1"
 // base system contributes through config.Fingerprint, keeping the two
 // content-address schemes composable.
 func (s *Spec) Fingerprint() string {
-	h := sha256.New()
-	e := fpEncoder{h: h}
-	e.str(fpVersion)
-	e.str(s.Name)
-	e.str(s.Strategy)
+	e := explore.NewFingerprint()
+	e.Str(fpVersion)
+	e.Str(s.Name)
+	e.Str(s.Strategy)
 	if s.Base == nil {
-		e.str("")
+		e.Str("")
 	} else {
-		e.str(s.Base.Fingerprint())
+		e.Str(s.Base.Fingerprint())
 	}
 	if s.Generator == nil {
-		e.list(-1)
+		e.List(-1)
 	} else {
 		g := s.Generator
-		e.num(g.Seed)
-		e.num(int64(g.Tasks))
-		e.f64(g.Util)
-		e.list(len(g.Periods))
+		e.Num(g.Seed)
+		e.Num(int64(g.Tasks))
+		e.F64(g.Util)
+		e.List(len(g.Periods))
 		for _, p := range g.Periods {
-			e.num(p)
+			e.Num(p)
 		}
 	}
-	e.list(len(s.Axes))
+	e.List(len(s.Axes))
 	for i := range s.Axes {
 		a := &s.Axes[i]
-		e.str(a.Param)
-		e.f64(a.Min)
-		e.f64(a.Max)
-		e.f64(a.Step)
-		e.f64(a.Tol)
+		e.Str(a.Param)
+		e.F64(a.Min)
+		e.F64(a.Max)
+		e.F64(a.Step)
+		e.F64(a.Tol)
 	}
-	e.num(int64(s.maxPoints()))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// fpEncoder writes the same unambiguous tagged byte stream as the config
-// fingerprint encoder, extended with a float tag (IEEE-754 bits).
-type fpEncoder struct {
-	h   hash.Hash
-	buf [9]byte
-}
-
-func (e *fpEncoder) num(v int64) {
-	e.buf[0] = 'i'
-	binary.BigEndian.PutUint64(e.buf[1:], uint64(v))
-	e.h.Write(e.buf[:])
-}
-
-func (e *fpEncoder) f64(v float64) {
-	e.buf[0] = 'f'
-	binary.BigEndian.PutUint64(e.buf[1:], math.Float64bits(v))
-	e.h.Write(e.buf[:])
-}
-
-func (e *fpEncoder) list(n int) {
-	e.buf[0] = 'l'
-	binary.BigEndian.PutUint64(e.buf[1:], uint64(int64(n)))
-	e.h.Write(e.buf[:])
-}
-
-func (e *fpEncoder) str(s string) {
-	e.buf[0] = 's'
-	binary.BigEndian.PutUint64(e.buf[1:], uint64(len(s)))
-	e.h.Write(e.buf[:])
-	e.h.Write([]byte(s))
+	e.Num(int64(s.maxPoints()))
+	return e.Sum()
 }

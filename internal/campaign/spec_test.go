@@ -113,24 +113,29 @@ func TestSpecFingerprintFieldConfusion(t *testing.T) {
 	}
 }
 
+// specRejects are malformed spec bodies and the error each must name;
+// they also seed FuzzParseSpec.
+var specRejects = []struct {
+	name, body, want string
+}{
+	{"unknown field", `{"name":"x","strategy":"grid","bogus":1}`, "bogus"},
+	{"no name", `{"strategy":"grid"}`, "needs a name"},
+	{"no strategy", `{"name":"x"}`, "needs a strategy"},
+	{"bad strategy", `{"name":"x","strategy":"anneal"}`, "unknown strategy"},
+	{"bisect arity", `{"name":"x","strategy":"bisect","axes":[]}`, "exactly 1 axis"},
+	{"grid no step", `{"name":"x","strategy":"grid","generator":{"seed":1,"periods":[10]},"axes":[{"param":"util","min":0.1,"max":0.9}]}`, "positive step"},
+	{"axis needs base", `{"name":"x","strategy":"bisect","axes":[{"param":"wcet_pct","min":100,"max":200}]}`, "requires a base"},
+	{"axis needs generator", `{"name":"x","strategy":"bisect","axes":[{"param":"util","min":0.1,"max":0.9}]}`, "requires a generator"},
+	{"unknown param", `{"name":"x","strategy":"bisect","axes":[{"param":"jitter","min":1,"max":2}]}`, "unknown axis param"},
+	{"max below min", `{"name":"x","strategy":"bisect","generator":{"seed":1,"periods":[10]},"axes":[{"param":"util","min":0.9,"max":0.1}]}`, "max 0.1 < min 0.9"},
+	{"grid too big", `{"name":"x","strategy":"grid","generator":{"seed":1,"periods":[10]},"max_points":3,"axes":[{"param":"util","min":0.1,"max":0.9,"step":0.1}]}`, "exceeds max_points"},
+	{"bad period", `{"name":"x","strategy":"bisect","generator":{"seed":1,"periods":[0]},"axes":[{"param":"util","min":0.1,"max":0.9}]}`, "not positive"},
+	{"step does not advance", `{"name":"x","strategy":"grid","generator":{"seed":1,"periods":[10]},"axes":[{"param":"util","min":1e16,"max":1e16,"step":1}]}`, "does not advance"},
+	{"grid counted not expanded", `{"name":"x","strategy":"grid","generator":{"seed":1,"periods":[10]},"axes":[{"param":"util","min":1,"max":1e12,"step":1}]}`, "exceeds max_points"},
+}
+
 func TestParseSpecRejects(t *testing.T) {
-	cases := []struct {
-		name, body, want string
-	}{
-		{"unknown field", `{"name":"x","strategy":"grid","bogus":1}`, "bogus"},
-		{"no name", `{"strategy":"grid"}`, "needs a name"},
-		{"no strategy", `{"name":"x"}`, "needs a strategy"},
-		{"bad strategy", `{"name":"x","strategy":"anneal"}`, "unknown strategy"},
-		{"bisect arity", `{"name":"x","strategy":"bisect","axes":[]}`, "exactly 1 axis"},
-		{"grid no step", `{"name":"x","strategy":"grid","generator":{"seed":1,"periods":[10]},"axes":[{"param":"util","min":0.1,"max":0.9}]}`, "positive step"},
-		{"axis needs base", `{"name":"x","strategy":"bisect","axes":[{"param":"wcet_pct","min":100,"max":200}]}`, "requires a base"},
-		{"axis needs generator", `{"name":"x","strategy":"bisect","axes":[{"param":"util","min":0.1,"max":0.9}]}`, "requires a generator"},
-		{"unknown param", `{"name":"x","strategy":"bisect","axes":[{"param":"jitter","min":1,"max":2}]}`, "unknown axis param"},
-		{"max below min", `{"name":"x","strategy":"bisect","generator":{"seed":1,"periods":[10]},"axes":[{"param":"util","min":0.9,"max":0.1}]}`, "max 0.1 < min 0.9"},
-		{"grid too big", `{"name":"x","strategy":"grid","generator":{"seed":1,"periods":[10]},"max_points":3,"axes":[{"param":"util","min":0.1,"max":0.9,"step":0.1}]}`, "exceeds max_points"},
-		{"bad period", `{"name":"x","strategy":"bisect","generator":{"seed":1,"periods":[0]},"axes":[{"param":"util","min":0.1,"max":0.9}]}`, "not positive"},
-	}
-	for _, c := range cases {
+	for _, c := range specRejects {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := ParseSpec(strings.NewReader(c.body))
 			if err == nil || !strings.Contains(err.Error(), c.want) {

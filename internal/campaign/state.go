@@ -1,5 +1,7 @@
 package campaign
 
+import "stopwatchsim/internal/explore"
+
 // Campaign state and its export forms. The State document is the
 // campaign's checkpoint: it is written to the artifact store after every
 // completed point, so a campaign interrupted by a crash resumes from
@@ -7,21 +9,21 @@ package campaign
 // schema of GET /v1/campaigns/{id}/result and `campaign export`, pinned
 // by a golden file like the trace export contracts.
 
-// Campaign statuses.
+// Campaign statuses, the kernel's.
 const (
-	StatusRunning  = "running"
-	StatusDone     = "done"
-	StatusFailed   = "failed"
-	StatusCanceled = "canceled"
+	StatusRunning  = explore.StatusRunning
+	StatusDone     = explore.StatusDone
+	StatusFailed   = explore.StatusFailed
+	StatusCanceled = explore.StatusCanceled
 )
 
 // Point sources: where a point's verdict came from.
 const (
-	SourceComputed   = "computed"   // a fresh engine run
-	SourceMemory     = "memory"     // the pool's in-memory result cache
-	SourceDisk       = "disk"       // the persistent store tier
-	SourceCheckpoint = "checkpoint" // the campaign's own resumed state
-	SourceFailed     = "failed"     // the run failed (Error holds why)
+	SourceComputed   = explore.SourceComputed   // a fresh engine run
+	SourceMemory     = explore.SourceMemory     // the pool's in-memory result cache
+	SourceDisk       = explore.SourceDisk       // the persistent store tier
+	SourceCheckpoint = explore.SourceCheckpoint // the campaign's own resumed state
+	SourceFailed     = explore.SourceFailed     // the run failed (Error holds why)
 )
 
 // stateVersion tags the checkpoint document schema.

@@ -4,12 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
-
-	"stopwatchsim/internal/config"
-	"stopwatchsim/internal/fault"
-	"stopwatchsim/internal/jobs"
-	"stopwatchsim/internal/obs"
 )
 
 // The strategies. Each maps the design space with a different budget of
@@ -35,86 +29,11 @@ import (
 // at a time through the pool and checkpointing as each completes. Failed
 // points are retried per the quarantine policy and then recorded and
 // skipped — one pathological corner of a sweep must not void the rest of
-// the map. On any abort (cancellation included) every in-flight batch job
-// is canceled in the pool so workers stop promptly.
-func (c *Campaign) runGrid(ctx context.Context, spec *Spec) error {
-	pts := gridPoints(spec.Axes)
-	par := spec.parallel()
-	for lo := 0; lo < len(pts); lo += par {
-		hi := min(lo+par, len(pts))
-		type pending struct {
-			pt  Point
-			fp  string
-			sys *config.System
-			id  string
-			// tc/start anchor the point's span when the pool traces.
-			tc    obs.TraceContext
-			start time.Time
-			// done carries an attempt settled without a pool job (an
-			// injected campaign-level fault).
-			done *jobs.Job
-		}
-		var batch []pending
-		// cancelBatch propagates an abort into the pool; canceling jobs
-		// already terminal is a harmless no-op.
-		cancelBatch := func() {
-			for _, pn := range batch {
-				if pn.id != "" {
-					c.eng.pool.Cancel(pn.id)
-				}
-			}
-		}
-		for _, pt := range pts[lo:hi] {
-			if err := ctx.Err(); err != nil {
-				cancelBatch()
-				return err
-			}
-			// Checkpoint hits are answered synchronously; everything else
-			// is submitted up front and awaited below so the batch's
-			// evaluations overlap in the pool.
-			sys, err := Materialize(spec, pt)
-			if err != nil {
-				cancelBatch()
-				return err
-			}
-			fp := sys.Fingerprint()
-			if _, ok := c.checkpointHit(pt, fp); ok {
-				continue
-			}
-			tc, start := c.pointTrace(), time.Now()
-			if f := c.eng.pool.Faults().Hit(fault.SiteCampaignPoint); f != nil {
-				batch = append(batch, pending{pt: pt, fp: fp, sys: sys, tc: tc, start: start,
-					done: &jobs.Job{Status: jobs.StatusFailed, Err: f.Err()}})
-				continue
-			}
-			jb, err := c.submit(ctx, sys, tc)
-			if err != nil {
-				cancelBatch()
-				return err
-			}
-			batch = append(batch, pending{pt: pt, fp: fp, sys: sys, tc: tc, start: start, id: jb.ID})
-		}
-		for _, pn := range batch {
-			var done jobs.Job
-			if pn.done != nil {
-				done = *pn.done
-			} else {
-				var err error
-				done, err = c.eng.pool.Wait(ctx, pn.id)
-				if err != nil {
-					cancelBatch()
-					return err
-				}
-			}
-			_, err := c.settle(ctx, spec, pn.sys, pn.pt, pn.fp, done, pn.tc)
-			c.closePointSpan(pn.tc, pn.pt, pn.start)
-			if err != nil {
-				cancelBatch()
-				return err
-			}
-		}
-	}
-	return nil
+// the map.
+func (c *Campaign) runGrid(ctx context.Context) error {
+	pts := gridPoints(c.spec.Axes)
+	_, err := c.evaluate(ctx, pts, c.spec.parallel())
+	return err
 }
 
 // gridPoints expands the axes' cross product in row-major order (last
@@ -141,32 +60,30 @@ func gridPoints(axes []Axis) []Point {
 
 // runBisect finds the critical value of the single axis and records it —
 // with the witness bracket behind it — in state.Critical/Bracket.
-func (c *Campaign) runBisect(ctx context.Context, spec *Spec) error {
-	crit, pair, _, err := c.bisectAxis(ctx, spec, Point{}, &spec.Axes[0], bracket{})
+func (c *Campaign) runBisect(ctx context.Context) error {
+	crit, pair, _, err := c.bisectAxis(ctx, Point{}, &c.spec.Axes[0], bracket{})
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	c.state.Critical = crit
-	c.state.Bracket = pair
-	c.mu.Unlock()
+	c.Update(func(st *State) { st.Critical, st.Bracket = crit, pair })
 	return nil
 }
 
 // runFrontier grids the row axis and bisects the column axis per row,
 // seeding brackets adaptively, building state.Frontier.
-func (c *Campaign) runFrontier(ctx context.Context, spec *Spec) error {
-	rowAxis, colAxis := &spec.Axes[0], &spec.Axes[1]
+func (c *Campaign) runFrontier(ctx context.Context) error {
+	rowAxis, colAxis := &c.spec.Axes[0], &c.spec.Axes[1]
 	var prev *float64
 	for _, row := range rowAxis.gridValues() {
 		base := Point{rowAxis.Param: row}
-		before := c.snapshot().Convergence.Evaluations
+		var before int
+		c.Update(func(st *State) { before = st.Convergence.Evaluations })
 
 		var br bracket
 		if prev != nil && *prev > colAxis.Min && *prev < colAxis.Max {
 			// Adaptive seeding: probe the neighbor row's critical point
 			// first; whichever way it lands, it halves the bracket.
-			pr, err := c.evalAt(ctx, spec, base, colAxis.Param, *prev)
+			pr, err := c.evalAt(ctx, base, colAxis.Param, *prev)
 			if err != nil {
 				return err
 			}
@@ -175,23 +92,21 @@ func (c *Campaign) runFrontier(ctx context.Context, spec *Spec) error {
 			} else {
 				br.hi, br.hiKnown = *prev, true
 			}
-			c.mu.Lock()
-			c.state.Convergence.BracketReuses++
-			c.mu.Unlock()
-			c.eng.count(func(m *EngineMetrics) { m.BracketReuses++ })
+			c.Update(func(st *State) { st.Convergence.BracketReuses++ })
+			c.eng.bracketReuses.Add(1)
 		}
 
-		crit, pair, _, err := c.bisectAxis(ctx, spec, base, colAxis, br)
+		crit, pair, _, err := c.bisectAxis(ctx, base, colAxis, br)
 		if err != nil {
 			return err
 		}
-		evals := c.snapshot().Convergence.Evaluations - before
-		c.mu.Lock()
-		c.state.Frontier = append(c.state.Frontier, FrontierRow{Row: row, Critical: crit, Bracket: pair, Evaluations: evals})
-		c.state.Convergence.FrontierRows++
-		c.mu.Unlock()
-		c.eng.count(func(m *EngineMetrics) { m.FrontierRows++ })
-		c.checkpoint()
+		c.Update(func(st *State) {
+			evals := st.Convergence.Evaluations - before
+			st.Frontier = append(st.Frontier, FrontierRow{Row: row, Critical: crit, Bracket: pair, Evaluations: evals})
+			st.Convergence.FrontierRows++
+		})
+		c.eng.frontierRows.Add(1)
+		c.Checkpoint()
 		prev = crit
 	}
 	return nil
@@ -212,7 +127,7 @@ type bracket struct {
 // side). The returned int counts interior iterations. A failed oracle run
 // aborts the search: a breakdown result computed around a hole would be
 // silently wrong.
-func (c *Campaign) bisectAxis(ctx context.Context, spec *Spec, base Point, a *Axis, br bracket) (*float64, *BracketPair, int, error) {
+func (c *Campaign) bisectAxis(ctx context.Context, base Point, a *Axis, br bracket) (*float64, *BracketPair, int, error) {
 	lo, hi := a.Min, a.Max
 	loKnown, hiKnown := false, false
 	if br.loKnown {
@@ -223,7 +138,7 @@ func (c *Campaign) bisectAxis(ctx context.Context, spec *Spec, base Point, a *Ax
 	}
 
 	if !loKnown {
-		pr, err := c.evalAt(ctx, spec, base, a.Param, lo)
+		pr, err := c.evalAt(ctx, base, a.Param, lo)
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -235,7 +150,7 @@ func (c *Campaign) bisectAxis(ctx context.Context, spec *Spec, base Point, a *Ax
 		}
 	}
 	if !hiKnown {
-		pr, err := c.evalAt(ctx, spec, base, a.Param, hi)
+		pr, err := c.evalAt(ctx, base, a.Param, hi)
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -260,15 +175,13 @@ func (c *Campaign) bisectAxis(ctx context.Context, spec *Spec, base Point, a *Ax
 		if mid >= hi {
 			break
 		}
-		pr, err := c.evalAt(ctx, spec, base, a.Param, mid)
+		pr, err := c.evalAt(ctx, base, a.Param, mid)
 		if err != nil {
 			return nil, nil, iters, err
 		}
 		iters++
-		c.mu.Lock()
-		c.state.Convergence.BisectIterations++
-		c.mu.Unlock()
-		c.eng.count(func(m *EngineMetrics) { m.BisectIterations++ })
+		c.Update(func(st *State) { st.Convergence.BisectIterations++ })
+		c.eng.bisectIterations.Add(1)
 		if pr.Schedulable {
 			lo = mid
 		} else {
@@ -283,16 +196,17 @@ func (c *Campaign) bisectAxis(ctx context.Context, spec *Spec, base Point, a *Ax
 
 // evalAt evaluates base extended with param=v, treating a failed run as a
 // strategy-aborting error.
-func (c *Campaign) evalAt(ctx context.Context, spec *Spec, base Point, param string, v float64) (*PointResult, error) {
+func (c *Campaign) evalAt(ctx context.Context, base Point, param string, v float64) (*PointResult, error) {
 	pt := make(Point, len(base)+1)
 	for k, bv := range base {
 		pt[k] = bv
 	}
 	pt[param] = v
-	pr, err := c.evaluate(ctx, spec, pt)
+	prs, err := c.evaluate(ctx, []Point{pt}, 1)
 	if err != nil {
 		return nil, err
 	}
+	pr := &prs[0]
 	if pr.Source == SourceFailed {
 		return nil, fmt.Errorf("campaign: point %s failed: %s", pt.Key(), pr.Error)
 	}

@@ -5,14 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
-	"stopwatchsim/internal/config"
-	"stopwatchsim/internal/fault"
+	"stopwatchsim/internal/explore"
 	"stopwatchsim/internal/jobs"
-	"stopwatchsim/internal/obs"
 	"stopwatchsim/internal/store"
 )
 
@@ -32,64 +29,68 @@ const (
 	pointRetryBackoff = 50 * time.Millisecond
 )
 
-// Engine orchestrates syntheses over a shared jobs.Pool, checkpointing
-// state to an artifact store after every evaluated point. The store may
-// be nil, in which case syntheses run memory-only (no resume across
-// restarts). One Engine serves many concurrent syntheses; each runs in
-// its own goroutine and fans its point evaluations through the pool.
+// Engine orchestrates syntheses on the exploration kernel: the kernel
+// owns the registry, checkpoints, point evaluation and the ops view; the
+// refinement is its point generator.
 type Engine struct {
-	pool *jobs.Pool
-	st   *store.Store
-	lg   *slog.Logger
+	*explore.Engine[State, Event]
 
-	mu      sync.Mutex
-	synths  map[string]*Synthesis
-	metrics EngineMetrics
+	boxesClassified, splits, bisectIterations atomic.Int64
 }
 
 // EngineMetrics are the synthesis-level telemetry counters, exposed by
-// cmd/saserve as the saserve_synth_* metric families.
+// cmd/saserve as the saserve_synth_* metric families. Synthesis never
+// records a failed point, so PointsFailed stays zero.
 type EngineMetrics struct {
-	Started  int64 `json:"started"`
-	Resumed  int64 `json:"resumed"`
-	Done     int64 `json:"done"`
-	Failed   int64 `json:"failed"`
-	Canceled int64 `json:"canceled"`
-
-	PointsComputed    int64 `json:"points_computed"`
-	PointsCacheMemory int64 `json:"points_cache_memory"`
-	PointsCacheDisk   int64 `json:"points_cache_disk"`
-	PointsCheckpoint  int64 `json:"points_checkpoint"`
+	explore.Metrics
 
 	BoxesClassified  int64 `json:"boxes_classified"`
 	Splits           int64 `json:"splits"`
 	BisectIterations int64 `json:"bisect_iterations"`
 }
 
-// Synthesis is one registered region synthesis.
-type Synthesis struct {
-	eng *Engine
+// Event is one record on a synthesis's live event stream (the body of
+// GET /v1/synth/{id}/events).
+type Event struct {
+	// Type is "point" (a point settled), "quarantine" (a point failed —
+	// for a synthesis that aborts the run) or "status" (terminal state).
+	Type   string `json:"type"`
+	Synth  string `json:"synth"`
+	Status string `json:"status,omitempty"`
 
-	mu        sync.Mutex
-	state     *State
-	completed map[string]*PointRec // config fingerprint → recorded result
-	verdict   map[string]bool      // idxKey → feasible, the refiner's oracle view
+	// Point fields, set on point/quarantine events.
+	Point    string `json:"point,omitempty"` // idxKey form
+	Source   string `json:"source,omitempty"`
+	Feasible bool   `json:"feasible,omitempty"`
+	Trace    string `json:"traceparent,omitempty"`
 
-	// Ops view: the live event hub, the root trace context (zero when the
-	// pool does not trace) and the settled-point duration histogram
-	// feeding the ETA. trace is set before launch and read-only after.
-	hub   obs.EventHub
-	trace obs.TraceContext
-	durs  *obs.Histogram
-
-	cancel context.CancelFunc
-	done   chan struct{}
+	// Progress against the space's evaluation budget: refinement is
+	// adaptive, so the budget is the only known total.
+	explore.Progress
 }
 
 // NewEngine creates an engine over the pool, checkpointing to st (nil
 // disables persistence). The logger may be nil.
 func NewEngine(pool *jobs.Pool, st *store.Store, lg *slog.Logger) *Engine {
-	return &Engine{pool: pool, st: st, lg: lg, synths: make(map[string]*Synthesis)}
+	e := &Engine{}
+	e.Engine = explore.New(pool, st, lg, explore.Kind[State, Event]{
+		Name:    stateKind,
+		Noun:    "synthesis",
+		Unknown: ErrUnknownSynthesis,
+		Valid:   func(s *State) bool { return s.Version == stateVersion && s.Space != nil },
+		Header: func(s *State) explore.Header {
+			return explore.Header{ID: &s.ID, Name: &s.Name, Status: &s.Status, Error: &s.Error,
+				StartedAt: &s.StartedAt, UpdatedAt: &s.UpdatedAt, Trace: &s.Trace}
+		},
+		Clone:  (*State).clone,
+		Detail: func(*State) string { return "refine" },
+		Event: func(id string, n explore.Note) Event {
+			return Event{Type: n.Type, Synth: id, Status: n.Status, Point: n.Point,
+				Source: n.Source, Feasible: n.Verdict, Trace: n.Trace, Progress: n.Progress}
+		},
+		Attach: e.attach,
+	})
+	return e
 }
 
 // StoreKind returns the store kind synthesis checkpoints are written
@@ -107,528 +108,181 @@ func (e *Engine) Start(space *Space) (State, error) {
 		return State{}, err
 	}
 	id := space.Fingerprint()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s := e.synths[id]; s != nil {
-		return s.snapshot(), nil
-	}
-	st := e.loadState(id)
-	resumed := st != nil
-	if st == nil {
-		st = &State{
-			Version: stateVersion,
-			ID:      id,
-			Name:    space.Name,
-			Status:  StatusRunning,
-			Space:   space,
-		}
-	}
-	s := e.registerLocked(st)
-	if st.Status == StatusRunning {
-		if resumed {
-			e.metrics.Resumed++
-		} else {
-			e.metrics.Started++
-		}
-		e.launchLocked(s)
-	}
-	return s.snapshot(), nil
+	return e.Engine.Start(id, func() *State {
+		return &State{Version: stateVersion, ID: id, Name: space.Name, Status: StatusRunning, Space: space}
+	}), nil
 }
 
-// ResumeAll loads every synthesis checkpoint from the store into the
-// registry and relaunches the ones a crash interrupted (status still
-// "running"). It returns the IDs of relaunched syntheses. Syntheses that
-// had finished are registered inert so their state and region remain
-// queryable after a restart.
-func (e *Engine) ResumeAll() []string {
-	if e.st == nil {
-		return nil
-	}
-	var resumed []string
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, id := range e.st.Keys(stateKind) {
-		if e.synths[id] != nil {
-			continue
-		}
-		st := e.loadState(id)
-		if st == nil {
-			continue
-		}
-		s := e.registerLocked(st)
-		if st.Status == StatusRunning {
-			e.metrics.Resumed++
-			e.launchLocked(s)
-			resumed = append(resumed, id)
-		}
-	}
-	sort.Strings(resumed)
-	return resumed
-}
-
-// RegisterAll loads every synthesis checkpoint into the registry without
-// relaunching any — the read-only counterpart of ResumeAll, for status
-// and export tooling. Checkpoints still marked running register inert;
-// Wait on them would block, so callers should only inspect state.
-func (e *Engine) RegisterAll() {
-	if e.st == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, id := range e.st.Keys(stateKind) {
-		if e.synths[id] != nil {
-			continue
-		}
-		if st := e.loadState(id); st != nil {
-			s := e.registerLocked(st)
-			if st.Status == StatusRunning {
-				// Not launched: mark done so Wait callers cannot hang on a
-				// synthesis nobody is running.
-				close(s.done)
-			}
-		}
+// Metrics returns a snapshot of the synthesis-level counters.
+func (e *Engine) Metrics() EngineMetrics {
+	return EngineMetrics{
+		Metrics:          e.Engine.Metrics(),
+		BoxesClassified:  e.boxesClassified.Load(),
+		Splits:           e.splits.Load(),
+		BisectIterations: e.bisectIterations.Load(),
 	}
 }
 
-// loadState reads a checkpoint, nil when absent, unreadable, or a
-// foreign schema version.
-func (e *Engine) loadState(id string) *State {
-	if e.st == nil {
-		return nil
-	}
-	var st State
-	ok, err := e.st.Get(stateKind, id, &st)
-	if err != nil || !ok || st.Version != stateVersion || st.Space == nil {
-		return nil
-	}
-	return &st
+// Synthesis is the per-synthesis half of one registered run: the
+// refinement driving it and the indices over its evaluated points. The
+// indices, region and state belong to the run's lock.
+type Synthesis struct {
+	*explore.Run[State, Event]
+	eng   *Engine
+	space *Space
+	state *State
+
+	completed map[string]*PointRec // config fingerprint → recorded result
+	verdict   map[string]bool      // idxKey → feasible, the refiner's oracle view
+	region    *Region              // the cover, once the refinement returns
 }
 
-// registerLocked adds a synthesis for st to the registry, rebuilding the
-// fingerprint and verdict indices from the recorded points. Terminal
-// states get an already-closed done channel. Callers hold e.mu.
-func (e *Engine) registerLocked(st *State) *Synthesis {
+// attach indexes the recorded points. Refinement-derived state (region,
+// box counters) of a running checkpoint is reset: a resumed synthesis
+// re-derives the deterministic refinement from scratch, with every
+// recorded point answering from the checkpoint instead of the pool.
+func (e *Engine) attach(r *explore.Run[State, Event], st *State) explore.Explorer {
 	s := &Synthesis{
+		Run:       r,
 		eng:       e,
+		space:     st.Space,
 		state:     st,
 		completed: make(map[string]*PointRec, len(st.Points)),
 		verdict:   make(map[string]bool, len(st.Points)),
-		durs:      obs.NewHistogram(0, 1, nil),
-		done:      make(chan struct{}),
 	}
 	for i := range st.Points {
 		pr := &st.Points[i]
 		s.completed[pr.Fingerprint] = pr
 		s.verdict[idxKey(pr.Idx)] = pr.Feasible
 	}
-	if st.Status != StatusRunning {
-		close(s.done)
+	if st.Status == StatusRunning {
+		st.Region = nil
+		st.Counts.BoxesFeasible = 0
+		st.Counts.BoxesInfeasible = 0
+		st.Counts.BoxesBoundary = 0
+		st.Counts.Splits = 0
+		st.Counts.BisectIterations = 0
 	}
-	e.synths[st.ID] = s
 	return s
 }
 
-// launchLocked starts the synthesis goroutine. Callers hold e.mu.
-func (e *Engine) launchLocked(s *Synthesis) {
-	s.armTraceLocked()
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
-	go s.run(ctx)
+// Explore runs the refinement to a complete cover.
+func (s *Synthesis) Explore(ctx context.Context) error {
+	region, err := s.refine(ctx, s.space)
+	s.Update(func(*State) { s.region = region })
+	return err
 }
 
-// Get returns a snapshot of the synthesis's state.
-func (e *Engine) Get(id string) (State, bool) {
-	e.mu.Lock()
-	s := e.synths[id]
-	e.mu.Unlock()
-	if s == nil {
-		return State{}, false
-	}
-	return s.snapshot(), true
-}
-
-// List returns snapshots of all registered syntheses, ordered by ID.
-func (e *Engine) List() []State {
-	e.mu.Lock()
-	ss := make([]*Synthesis, 0, len(e.synths))
-	for _, s := range e.synths {
-		ss = append(ss, s)
-	}
-	e.mu.Unlock()
-	out := make([]State, len(ss))
-	for i, s := range ss {
-		out[i] = s.snapshot()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Cancel requests cancellation of a running synthesis. It returns false
-// when the synthesis is unknown or already terminal.
-func (e *Engine) Cancel(id string) bool {
-	e.mu.Lock()
-	s := e.synths[id]
-	e.mu.Unlock()
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	running := s.state.Status == StatusRunning && s.cancel != nil
-	s.mu.Unlock()
-	if running {
-		s.cancel()
-	}
-	return running
-}
-
-// Wait blocks until the synthesis reaches a terminal state or ctx is
-// done.
-func (e *Engine) Wait(ctx context.Context, id string) (State, error) {
-	e.mu.Lock()
-	s := e.synths[id]
-	e.mu.Unlock()
-	if s == nil {
-		return State{}, ErrUnknownSynthesis
-	}
-	select {
-	case <-s.done:
-	case <-ctx.Done():
-		return State{}, ctx.Err()
-	}
-	return s.snapshot(), nil
-}
-
-// Metrics returns a snapshot of the synthesis-level counters.
-func (e *Engine) Metrics() EngineMetrics {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.metrics
-}
-
-func (e *Engine) count(f func(*EngineMetrics)) {
-	e.mu.Lock()
-	f(&e.metrics)
-	e.mu.Unlock()
-}
-
-func (s *Synthesis) snapshot() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state.clone()
-}
-
-// checkpoint persists the current state (after stamping UpdatedAt) so a
-// crash at any later instant resumes from here. Persistence failures are
-// logged, not fatal: the synthesis still completes in memory and the
-// previous checkpoint stays authoritative for resume.
-func (s *Synthesis) checkpoint() {
-	s.mu.Lock()
-	s.state.UpdatedAt = time.Now().UTC().Format(time.RFC3339Nano)
-	snap := s.state.clone()
-	s.mu.Unlock()
-	if s.eng.st == nil {
-		return
-	}
-	retries, err := fault.DefaultStoreRetry.Do(context.Background(), nil, func() error {
-		return s.eng.st.Put(stateKind, snap.ID, &snap)
-	})
-	s.eng.pool.Resilience().StoreRetries.Add(int64(retries))
-	if err != nil && s.eng.lg != nil {
-		s.eng.lg.Warn("synth checkpoint failed", "synth", snap.ID, "error", err.Error())
+// Finish attaches the cover, stamped with the terminal status.
+func (s *Synthesis) Finish(status string) {
+	if r := s.region; r != nil {
+		r.Status = status
+		r.Error = s.state.Error
+		r.Counts = s.state.Counts
+		s.state.Region = r
 	}
 }
 
-// run executes the refinement to a terminal state. Refinement-derived
-// state (region, box counters) is reset first: a resumed synthesis
-// re-derives the deterministic refinement from scratch, with every
-// recorded point answering from the checkpoint instead of the pool.
-func (s *Synthesis) run(ctx context.Context) {
-	defer close(s.done)
-	t0 := time.Now()
-	s.mu.Lock()
-	if s.state.StartedAt == "" {
-		s.state.StartedAt = time.Now().UTC().Format(time.RFC3339Nano)
-	}
-	space := s.state.Space
-	s.state.Region = nil
-	s.state.Counts.BoxesFeasible = 0
-	s.state.Counts.BoxesInfeasible = 0
-	s.state.Counts.BoxesBoundary = 0
-	s.state.Counts.Splits = 0
-	s.state.Counts.BisectIterations = 0
-	s.mu.Unlock()
-	s.checkpoint()
-	lg := s.logger()
-	if lg != nil {
-		lg.Info("synthesis running", "dims", len(space.Dims), "points_done", len(s.snapshot().Points))
-	}
-
-	region, err := s.refine(ctx, space)
-
-	status := StatusDone
-	switch {
-	case err == nil:
-	case errors.Is(err, context.Canceled):
-		status = StatusCanceled
-	default:
-		status = StatusFailed
-	}
-	s.mu.Lock()
-	s.state.Status = status
-	if err != nil && status == StatusFailed {
-		s.state.Error = err.Error()
-	}
-	if region != nil {
-		region.Status = status
-		region.Error = s.state.Error
-		region.Counts = s.state.Counts
-		s.state.Region = region
-	}
-	s.mu.Unlock()
-	s.checkpoint()
-	if tr := s.eng.pool.Tracer(); tr != nil && s.trace.Valid() {
-		// The synthesis's root span: parentless, covering this process's
-		// share of the refinement (a resumed synthesis records one per leg).
-		tr.Record(s.trace, [8]byte{}, "synth", "refine", t0.UnixNano(), time.Since(t0).Nanoseconds())
-	}
-	s.publishStatus(status)
-	s.eng.count(func(m *EngineMetrics) {
-		switch status {
-		case StatusDone:
-			m.Done++
-		case StatusFailed:
-			m.Failed++
-		case StatusCanceled:
-			m.Canceled++
-		}
-	})
-	if lg != nil {
-		if err != nil {
-			lg.Warn("synthesis finished", "status", status, "error", err.Error())
-		} else {
-			lg.Info("synthesis finished", "status", status,
-				"points", len(s.snapshot().Points), "coverage", region.Coverage)
-		}
-	}
-}
-
-func (s *Synthesis) logger() *slog.Logger {
-	if s.eng.lg == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.lg.With(slog.String("synth", s.state.ID), slog.String("name", s.state.Name))
+// Progress counts evaluations against the space's budget.
+func (s *Synthesis) Progress() (done, total, par int) {
+	return s.state.Counts.Evaluations, s.space.maxPoints(), 1
 }
 
 // feasibleAt returns the recorded verdict at a lattice point, if any.
-func (s *Synthesis) feasibleAt(idx []int) (bool, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.verdict[idxKey(idx)]
+func (s *Synthesis) feasibleAt(idx []int) (f, ok bool) {
+	s.Update(func(*State) { f, ok = s.verdict[idxKey(idx)] })
 	return f, ok
 }
 
-// evaluate answers one lattice point: from the verdict map (already
-// evaluated this run), the resumed checkpoint (by configuration
-// fingerprint), or through the pool. Failed runs are retried briefly and
-// then abort the synthesis — a region derived around a hole would be
-// silently wrong.
-func (s *Synthesis) evaluate(ctx context.Context, space *Space, idx []int) (bool, error) {
-	if f, ok := s.feasibleAt(idx); ok {
-		return f, nil
+// evaluate answers lattice points through the kernel, space.parallel() at
+// a time, skipping duplicates and points with a recorded verdict. Points
+// whose configuration fingerprint is already recorded — from the resumed
+// checkpoint, or an earlier point whose target values aliased to the
+// same configuration — answer from the state without touching the pool.
+// Failed runs are retried briefly and then abort the synthesis: a region
+// derived around a hole would be silently wrong.
+func (s *Synthesis) evaluate(ctx context.Context, space *Space, pts ...[]int) error {
+	seen := make(map[string]bool, len(pts))
+	var work [][]int
+	for _, p := range pts {
+		k := idxKey(p)
+		if _, ok := s.feasibleAt(p); ok || seen[k] {
+			continue
+		}
+		seen[k] = true
+		work = append(work, p)
 	}
-	sys, err := space.Materialize(idx)
-	if err != nil {
-		return false, err
-	}
-	fp := sys.Fingerprint()
-	if pr, ok := s.checkpointHit(space, idx, fp); ok {
-		return pr.Feasible, nil
-	}
-
-	s.mu.Lock()
-	over := s.state.Counts.Evaluations >= space.maxPoints()
-	s.mu.Unlock()
-	if over {
-		return false, fmt.Errorf("synth: evaluation budget of %d points exhausted", space.maxPoints())
-	}
-
-	// Every point gets a child span of the synthesis's root trace (when
-	// the pool traces); the job it submits links its submit/queue/run/
-	// engine-phase spans under it.
-	tc := s.pointTrace()
-	start := time.Now()
-	done, err := s.attempt(ctx, sys, tc)
-	if err != nil {
-		return false, err
-	}
-	for attempt := 0; done.Status == jobs.StatusFailed && attempt < pointRetries; attempt++ {
-		s.eng.pool.Resilience().PointRetries.Add(1)
-		if lg := s.logger(); lg != nil {
-			msg := "run failed"
-			if done.Err != nil {
-				msg = done.Err.Error()
+	return s.Evaluate(ctx, explore.Batch{
+		N:     len(work),
+		Par:   space.parallel(),
+		Retry: explore.Retry{Attempts: pointRetries, Backoff: pointRetryBackoff},
+		Prepare: func(i int) (explore.Point, error) {
+			sys, err := space.Materialize(work[i])
+			if err != nil {
+				return explore.Point{}, err
 			}
-			lg.Warn("point attempt failed; retrying", "point", idxKey(idx), "attempt", attempt+1, "error", msg)
-		}
-		if err := fault.SleepContext(ctx, pointRetryBackoff<<attempt); err != nil {
-			return false, err
-		}
-		if done, err = s.attempt(ctx, sys, tc); err != nil {
-			return false, err
-		}
-	}
-	feasible, err := s.record(space, idx, fp, done, tc)
-	s.closePointSpan(tc, idx, start)
-	return feasible, err
+			return explore.Point{Key: idxKey(work[i]), Sys: sys, FP: sys.Fingerprint()}, nil
+		},
+		Hit: func(i int, p explore.Point) (explore.Result, bool, bool) {
+			pr := s.completed[p.FP]
+			if pr == nil {
+				return explore.Result{}, false, false
+			}
+			// A hit at lattice coordinates not yet recorded is appended as
+			// a SourceCheckpoint point.
+			rec := *pr
+			rec.Idx = append([]int(nil), work[i]...)
+			rec.Values = space.values(work[i])
+			_, known := s.verdict[p.Key]
+			if !known {
+				rec.Source = SourceCheckpoint
+				rec.ElapsedNS = 0
+				s.state.Points = append(s.state.Points, rec)
+				s.verdict[p.Key] = rec.Feasible
+				s.state.Counts.Evaluations++
+				s.state.Counts.Checkpoint++
+			}
+			return explore.Result{Source: rec.Source, Feasible: rec.Feasible, Trace: rec.Trace}, !known, true
+		},
+		Admit: func() error {
+			if s.state.Counts.Evaluations >= space.maxPoints() {
+				return fmt.Errorf("synth: evaluation budget of %d points exhausted", space.maxPoints())
+			}
+			return nil
+		},
+		Record: func(i int, p explore.Point, res explore.Result) error {
+			if res.Source == explore.SourceFailed {
+				return fmt.Errorf("synth: point %s failed: %s", p.Key, res.Error)
+			}
+			s.record(PointRec{Idx: append([]int(nil), work[i]...), Values: space.values(work[i]), Fingerprint: p.FP,
+				Feasible: res.Feasible, Source: res.Source, ElapsedNS: res.ElapsedNS, Trace: res.Trace,
+				Postmortem: res.Postmortem}, res)
+			return nil
+		},
+	})
 }
 
-// attempt runs one evaluation attempt through the pool, with the
-// synthesis fault site applied first. When the wait dies — the synthesis
-// was canceled or the engine is shutting down — the cancellation is
-// propagated into the pool so the in-flight job stops promptly.
-func (s *Synthesis) attempt(ctx context.Context, sys *config.System, tc obs.TraceContext) (jobs.Job, error) {
-	if f := s.eng.pool.Faults().Hit(fault.SiteCampaignPoint); f != nil {
-		return jobs.Job{Status: jobs.StatusFailed, Err: f.Err()}, nil
+// record appends an evaluated point to the state. Callers hold the run's
+// lock.
+func (s *Synthesis) record(pr PointRec, res explore.Result) {
+	st := s.state
+	if pr.Source == SourceComputed {
+		key := idxKey(pr.Idx)
+		st.Stragglers = explore.Rank(st.Stragglers,
+			Straggler{Idx: pr.Idx, Values: pr.Values, Trace: pr.Trace, ElapsedNS: pr.ElapsedNS, Phases: res.Phases},
+			func(s *Straggler) int64 { return s.ElapsedNS },
+			func(s *Straggler) bool { return idxKey(s.Idx) == key })
 	}
-	jb, err := s.submit(ctx, sys, tc)
-	if err != nil {
-		return jobs.Job{}, err
-	}
-	done, err := s.eng.pool.Wait(ctx, jb.ID)
-	if err != nil {
-		s.eng.pool.Cancel(jb.ID)
-		return jobs.Job{}, err
-	}
-	return done, nil
-}
-
-// checkpointHit answers a point whose configuration fingerprint is
-// already recorded — from the resumed checkpoint, or from an earlier
-// point of this run whose target values aliased to the same
-// configuration — skipping the pool entirely. A hit at lattice
-// coordinates not yet recorded is appended as a SourceCheckpoint point.
-func (s *Synthesis) checkpointHit(space *Space, idx []int, fp string) (*PointRec, bool) {
-	key := idxKey(idx)
-	s.mu.Lock()
-	pr := s.completed[fp]
-	var fresh bool
-	if pr != nil {
-		prCopy := *pr
-		prCopy.Idx = append([]int(nil), idx...)
-		prCopy.Values = space.values(idx)
-		if _, seen := s.verdict[key]; !seen {
-			fresh = true
-			prCopy.Source = SourceCheckpoint
-			prCopy.ElapsedNS = 0
-			s.state.Points = append(s.state.Points, prCopy)
-			s.verdict[key] = prCopy.Feasible
-			s.state.Counts.Evaluations++
-			s.state.Counts.Checkpoint++
-		}
-		pr = &prCopy
-	}
-	s.mu.Unlock()
-	if pr == nil {
-		return nil, false
-	}
-	s.eng.count(func(m *EngineMetrics) { m.PointsCheckpoint++ })
-	if fresh {
-		s.checkpoint()
-		s.publishPoint(pr)
-	}
-	return pr, true
-}
-
-// record translates a finished job into the point's verdict, appends it
-// to the state, checkpoints, and bumps the counters. Cancellation
-// surfaces as context.Canceled; a still-failed job (retries exhausted)
-// aborts the synthesis.
-func (s *Synthesis) record(space *Space, idx []int, fp string, done jobs.Job, tc obs.TraceContext) (bool, error) {
-	switch done.Status {
-	case jobs.StatusDone:
-	case jobs.StatusCanceled:
-		return false, context.Canceled
-	default:
-		msg := "run failed"
-		if done.Err != nil {
-			msg = done.Err.Error()
-		}
-		s.publishFailure(idx, tc)
-		return false, fmt.Errorf("synth: point %s failed: %s", idxKey(idx), msg)
-	}
-	pr := PointRec{
-		Idx:         append([]int(nil), idx...),
-		Values:      space.values(idx),
-		Fingerprint: fp,
-		Feasible:    done.Outcome.Verdict == jobs.VerdictSchedulable,
-		ElapsedNS:   int64(done.Outcome.Elapsed),
-		Postmortem:  done.PostmortemKey,
-	}
-	if tc.Valid() {
-		pr.Trace = tc.Traceparent()
-	}
-	switch {
-	case done.DiskHit:
-		pr.Source = SourceDisk
-	case done.CacheHit:
-		pr.Source = SourceMemory
-	default:
-		pr.Source = SourceComputed
-	}
-	s.durs.Observe(time.Duration(pr.ElapsedNS))
-
-	s.mu.Lock()
-	s.noteStragglerLocked(&pr, done)
-	s.state.Points = append(s.state.Points, pr)
-	rec := &s.state.Points[len(s.state.Points)-1]
-	s.completed[fp] = rec
-	s.verdict[idxKey(idx)] = pr.Feasible
-	s.state.Counts.Evaluations++
+	st.Points = append(st.Points, pr)
+	s.completed[pr.Fingerprint] = &st.Points[len(st.Points)-1]
+	s.verdict[idxKey(pr.Idx)] = pr.Feasible
+	st.Counts.Evaluations++
 	switch pr.Source {
 	case SourceComputed:
-		s.state.Counts.EngineRuns++
+		st.Counts.EngineRuns++
 	case SourceMemory:
-		s.state.Counts.CacheMemory++
+		st.Counts.CacheMemory++
 	case SourceDisk:
-		s.state.Counts.CacheDisk++
-	}
-	s.mu.Unlock()
-	s.eng.count(func(m *EngineMetrics) {
-		switch pr.Source {
-		case SourceComputed:
-			m.PointsComputed++
-		case SourceMemory:
-			m.PointsCacheMemory++
-		case SourceDisk:
-			m.PointsCacheDisk++
-		}
-	})
-	s.checkpoint()
-	s.publishPoint(&pr)
-	return pr.Feasible, nil
-}
-
-// submit enqueues the run, backing off briefly when the pool signals
-// backpressure (syntheses yield to interactive submissions rather than
-// failing).
-func (s *Synthesis) submit(ctx context.Context, sys *config.System, tc obs.TraceContext) (jobs.Job, error) {
-	for {
-		jb, err := s.eng.pool.SubmitTraced(jobs.ConfigRun{Sys: sys}, s.eng.pool.DefaultBudget(), tc)
-		switch {
-		case err == nil:
-			return jb, nil
-		case errors.Is(err, jobs.ErrQueueFull):
-			select {
-			case <-ctx.Done():
-				return jobs.Job{}, ctx.Err()
-			case <-time.After(10 * time.Millisecond):
-			}
-		default:
-			return jobs.Job{}, err
-		}
+		st.Counts.CacheDisk++
 	}
 }

@@ -3,7 +3,6 @@ package synth
 import (
 	"context"
 	"fmt"
-	"sync"
 )
 
 // The refinement. Both modes are exact at lattice resolution when
@@ -77,7 +76,7 @@ func (b *box) center() []int {
 func (s *Synthesis) refine(ctx context.Context, space *Space) (*Region, error) {
 	r := &Region{
 		SchemaVersion: regionSchemaVersion,
-		ID:            s.snapshot().ID,
+		ID:            s.state.ID, // immutable once registered
 		Name:          space.Name,
 		Dims:          append([]Dim(nil), space.Dims...),
 		TotalCells:    space.totalCells(),
@@ -91,10 +90,7 @@ func (s *Synthesis) refine(ctx context.Context, space *Space) (*Region, error) {
 	if r.TotalCells > 0 {
 		r.Coverage = float64(r.DecidedCells) / float64(r.TotalCells)
 	}
-	if err != nil {
-		return r, err
-	}
-	return r, nil
+	return r, err
 }
 
 // emit appends a classified box to the region and bumps the counters;
@@ -107,20 +103,20 @@ func (s *Synthesis) emit(space *Space, r *Region, b box, verdict string, witness
 		Verdict: verdict,
 		Cells:   cells,
 	})
-	s.mu.Lock()
-	switch verdict {
-	case VerdictFeasible:
-		s.state.Counts.BoxesFeasible++
-		r.DecidedCells += cells
-	case VerdictInfeasible:
-		s.state.Counts.BoxesInfeasible++
-		r.DecidedCells += cells
-	case VerdictBoundary:
-		s.state.Counts.BoxesBoundary++
-		r.Boundary = append(r.Boundary, *witness)
-	}
-	s.mu.Unlock()
-	s.eng.count(func(m *EngineMetrics) { m.BoxesClassified++ })
+	s.Update(func(st *State) {
+		switch verdict {
+		case VerdictFeasible:
+			st.Counts.BoxesFeasible++
+			r.DecidedCells += cells
+		case VerdictInfeasible:
+			st.Counts.BoxesInfeasible++
+			r.DecidedCells += cells
+		case VerdictBoundary:
+			st.Counts.BoxesBoundary++
+			r.Boundary = append(r.Boundary, *witness)
+		}
+	})
+	s.eng.boxesClassified.Add(1)
 }
 
 // refine1D is the exact breakdown mode: two end probes orient the
@@ -132,11 +128,11 @@ func (s *Synthesis) refine1D(ctx context.Context, space *Space, r *Region) error
 	n := space.Dims[0].cells()
 	whole := box{lo: []int{0}, hi: []int{n}}
 
-	f0, err := s.evaluate(ctx, space, []int{0})
+	f0, err := s.probe(ctx, space, 0)
 	if err != nil {
 		return err
 	}
-	fn, err := s.evaluate(ctx, space, []int{n})
+	fn, err := s.probe(ctx, space, n)
 	if err != nil {
 		return err
 	}
@@ -158,14 +154,12 @@ func (s *Synthesis) refine1D(ctx context.Context, space *Space, r *Region) error
 			return err
 		}
 		mid := lo + (hi-lo)/2
-		fm, err := s.evaluate(ctx, space, []int{mid})
+		fm, err := s.probe(ctx, space, mid)
 		if err != nil {
 			return err
 		}
-		s.mu.Lock()
-		s.state.Counts.BisectIterations++
-		s.mu.Unlock()
-		s.eng.count(func(m *EngineMetrics) { m.BisectIterations++ })
+		s.Update(func(st *State) { st.Counts.BisectIterations++ })
+		s.eng.bisectIterations.Add(1)
 		if fm == f0 {
 			lo = mid
 		} else {
@@ -212,7 +206,7 @@ func (s *Synthesis) refineBoxes(ctx context.Context, space *Space, r *Region) er
 			probes = append(probes, queue[i].corners()...)
 			probes = append(probes, queue[i].center())
 		}
-		if err := s.evaluateBatch(ctx, space, probes); err != nil {
+		if err := s.evaluate(ctx, space, probes...); err != nil {
 			return err
 		}
 
@@ -270,10 +264,8 @@ func (s *Synthesis) refineBoxes(ctx context.Context, space *Space, r *Region) er
 				a.hi[dim] = mid
 				c.lo[dim] = mid
 				next = append(next, a, c)
-				s.mu.Lock()
-				s.state.Counts.Splits++
-				s.mu.Unlock()
-				s.eng.count(func(m *EngineMetrics) { m.Splits++ })
+				s.Update(func(st *State) { st.Counts.Splits++ })
+				s.eng.splits.Add(1)
 			}
 		}
 		queue = next
@@ -281,68 +273,11 @@ func (s *Synthesis) refineBoxes(ctx context.Context, space *Space, r *Region) er
 	return nil
 }
 
-// evaluateBatch evaluates a set of lattice points with bounded
-// concurrency, deduplicating against each other and against already
-// known verdicts. The first error cancels the rest of the batch.
-func (s *Synthesis) evaluateBatch(ctx context.Context, space *Space, pts [][]int) error {
-	seen := make(map[string]bool, len(pts))
-	var work [][]int
-	for _, p := range pts {
-		k := idxKey(p)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if _, ok := s.feasibleAt(p); ok {
-			continue
-		}
-		work = append(work, p)
+// probe evaluates one point of a 1-D space and returns its verdict.
+func (s *Synthesis) probe(ctx context.Context, space *Space, k int) (bool, error) {
+	if err := s.evaluate(ctx, space, []int{k}); err != nil {
+		return false, err
 	}
-	if len(work) == 0 {
-		return nil
-	}
-	par := space.parallel()
-	if par > len(work) {
-		par = len(work)
-	}
-
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	feed := make(chan []int)
-	for i := 0; i < par; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range feed {
-				if _, err := s.evaluate(bctx, space, p); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					cancel()
-				}
-			}
-		}()
-	}
-	for _, p := range work {
-		select {
-		case feed <- p:
-		case <-bctx.Done():
-		}
-		if bctx.Err() != nil {
-			break
-		}
-	}
-	close(feed)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
+	f, _ := s.feasibleAt([]int{k})
+	return f, nil
 }

@@ -1,5 +1,7 @@
 package synth
 
+import "stopwatchsim/internal/explore"
+
 // Synthesis state and its export forms. The State document is the
 // checkpoint: written to the artifact store after every evaluated point,
 // so a synthesis interrupted at any instant resumes from exactly the set
@@ -10,20 +12,20 @@ package synth
 // timestamps or durations, so the same space always exports byte-equal
 // JSON.
 
-// Synthesis statuses.
+// Synthesis statuses, the kernel's.
 const (
-	StatusRunning  = "running"
-	StatusDone     = "done"
-	StatusFailed   = "failed"
-	StatusCanceled = "canceled"
+	StatusRunning  = explore.StatusRunning
+	StatusDone     = explore.StatusDone
+	StatusFailed   = explore.StatusFailed
+	StatusCanceled = explore.StatusCanceled
 )
 
 // Point sources: where a point's verdict came from.
 const (
-	SourceComputed   = "computed"   // a fresh engine run
-	SourceMemory     = "memory"     // the pool's in-memory result cache
-	SourceDisk       = "disk"       // the persistent store tier
-	SourceCheckpoint = "checkpoint" // the synthesis's own resumed state
+	SourceComputed   = explore.SourceComputed   // a fresh engine run
+	SourceMemory     = explore.SourceMemory     // the pool's in-memory result cache
+	SourceDisk       = explore.SourceDisk       // the persistent store tier
+	SourceCheckpoint = explore.SourceCheckpoint // the synthesis's own resumed state
 )
 
 // Box verdicts.

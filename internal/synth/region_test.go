@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,40 +22,45 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // here means either the schema or the refinement itself changed — bump
 // regionSchemaVersion if the schema did, and regenerate with -update.
 func TestRegionGolden(t *testing.T) {
-	pool := jobs.New(jobs.Options{Workers: 1})
-	defer pool.Close()
-	eng := NewEngine(pool, nil, nil)
-
-	space := oneDimSpace()
-	space.Parallel = 1
-	final := runSynth(t, eng, space)
-	if final.Status != StatusDone {
-		t.Fatalf("status = %s (%s)", final.Status, final.Error)
-	}
-	region := final.Region
-
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(region); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.Bytes()
-
 	golden := filepath.Join("testdata", "region.json.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("region export drifted from golden file (run with -update after a deliberate change):\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	// The export must not depend on the pool's worker count.
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			pool := jobs.New(jobs.Options{Workers: workers})
+			defer pool.Close()
+			eng := NewEngine(pool, nil, nil)
+
+			space := oneDimSpace()
+			space.Parallel = 1
+			final := runSynth(t, eng, space)
+			if final.Status != StatusDone {
+				t.Fatalf("status = %s (%s)", final.Status, final.Error)
+			}
+			region := final.Region
+
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(region); err != nil {
+				t.Fatal(err)
+			}
+			got := buf.Bytes()
+
+			if *update && workers == 1 {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to regenerate)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("region export drifted from golden file (run with -update after a deliberate change):\n--- got ---\n%s\n--- want ---\n%s", got, want)
+			}
+		})
 	}
 }

@@ -40,18 +40,15 @@
 package synth
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash"
 	"io"
 	"math"
 	"strconv"
 	"strings"
 
 	"stopwatchsim/internal/config"
+	"stopwatchsim/internal/explore"
 )
 
 // Dim is one symbolic parameter dimension: a named configuration field
@@ -158,6 +155,7 @@ func (s *Space) Validate() error {
 		return fmt.Errorf("synth: space takes 1–3 dims, got %d", len(s.Dims))
 	}
 	seen := make(map[string]bool, len(s.Dims))
+	volume := 1.0
 	for i := range s.Dims {
 		d := &s.Dims[i]
 		t, err := config.ParseParamTarget(d.Target)
@@ -185,6 +183,11 @@ func (s *Space) Validate() error {
 		}
 		if n < 1 {
 			return fmt.Errorf("synth: dim %q has no lattice cell (span %g, res %g)", d.Target, span, res)
+		}
+		// Lattice indices and cell volumes are integers: past 2^53 cells
+		// neither the index arithmetic nor the volume stays exact.
+		if volume *= n; volume > 1<<53 {
+			return fmt.Errorf("synth: space of %.0f lattice cells exceeds 2^53", volume)
 		}
 	}
 	return nil
@@ -287,55 +290,22 @@ const fpVersion = "stopwatchsim/synth/v1"
 // knobs (Parallel) are excluded; the base system contributes through
 // config.Fingerprint.
 func (s *Space) Fingerprint() string {
-	h := sha256.New()
-	e := fpEncoder{h: h}
-	e.str(fpVersion)
-	e.str(s.Name)
+	e := explore.NewFingerprint()
+	e.Str(fpVersion)
+	e.Str(s.Name)
 	if s.Base == nil {
-		e.str("")
+		e.Str("")
 	} else {
-		e.str(s.Base.Fingerprint())
+		e.Str(s.Base.Fingerprint())
 	}
-	e.list(len(s.Dims))
+	e.List(len(s.Dims))
 	for i := range s.Dims {
 		d := &s.Dims[i]
-		e.str(d.Target)
-		e.f64(d.Min)
-		e.f64(d.Max)
-		e.f64(d.Res)
+		e.Str(d.Target)
+		e.F64(d.Min)
+		e.F64(d.Max)
+		e.F64(d.Res)
 	}
-	e.num(int64(s.maxPoints()))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// fpEncoder writes the same unambiguous tagged byte stream as the config
-// and campaign fingerprint encoders.
-type fpEncoder struct {
-	h   hash.Hash
-	buf [9]byte
-}
-
-func (e *fpEncoder) num(v int64) {
-	e.buf[0] = 'i'
-	binary.BigEndian.PutUint64(e.buf[1:], uint64(v))
-	e.h.Write(e.buf[:])
-}
-
-func (e *fpEncoder) f64(v float64) {
-	e.buf[0] = 'f'
-	binary.BigEndian.PutUint64(e.buf[1:], math.Float64bits(v))
-	e.h.Write(e.buf[:])
-}
-
-func (e *fpEncoder) list(n int) {
-	e.buf[0] = 'l'
-	binary.BigEndian.PutUint64(e.buf[1:], uint64(int64(n)))
-	e.h.Write(e.buf[:])
-}
-
-func (e *fpEncoder) str(s string) {
-	e.buf[0] = 's'
-	binary.BigEndian.PutUint64(e.buf[1:], uint64(len(s)))
-	e.h.Write(e.buf[:])
-	e.h.Write([]byte(s))
+	e.Num(int64(s.maxPoints()))
+	return e.Sum()
 }

@@ -51,6 +51,7 @@ func TestSpaceValidate(t *testing.T) {
 		{"below minimum", func(s *Space) { s.Dims[0].Min = 0 }, ">= 1"},
 		{"empty interval", func(s *Space) { s.Dims[0].Max = s.Dims[0].Min }, "max"},
 		{"misaligned span", func(s *Space) { s.Dims[0].Res = 4 }, "not a multiple of res"},
+		{"lattice overflow", func(s *Space) { s.Dims[0].Max = 1e20 }, "exceeds 2^53"},
 		{"repeated target", func(s *Space) {
 			s.Dims = append(s.Dims, Dim{Target: "wcet:P1.a", Min: 1, Max: 4})
 		}, "repeats target"},
