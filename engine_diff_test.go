@@ -3,6 +3,7 @@ package stopwatchsim
 import (
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"stopwatchsim/internal/campaign"
@@ -14,12 +15,13 @@ import (
 
 // runBackend interprets a built model on one engine backend and returns
 // everything the differential compares: the synchronization trace, the final
-// state, the run result and the error.
-func runBackend(m *model.Model, b nsa.Backend, check bool) (*nsa.SyncTrace, *nsa.State, nsa.Result, error) {
+// state, the run result and the error. extra listeners observe the run
+// alongside the trace.
+func runBackend(m *model.Model, b nsa.Backend, check bool, extra ...nsa.Listener) (*nsa.SyncTrace, *nsa.State, nsa.Result, error) {
 	tr := &nsa.SyncTrace{}
 	eng := nsa.NewEngine(m.Net, nsa.Options{
 		Horizon:     m.Horizon,
-		Listeners:   []nsa.Listener{tr},
+		Listeners:   append([]nsa.Listener{tr}, extra...),
 		Backend:     b,
 		CheckEngine: check,
 	})
@@ -31,10 +33,25 @@ func runBackend(m *model.Model, b nsa.Backend, check bool) (*nsa.SyncTrace, *nsa
 // re-enumeration as the oracle and the compiled runtime — and requires
 // byte-identical traces, final states and results. When check is true the
 // compiled run additionally enables CheckEngine, comparing it with a naive
-// enumeration at every step inside the run.
+// enumeration at every step inside the run. The naive run also holds the
+// model checker's Enumerator to naive enumeration at its initial state and
+// after every transition.
 func diffBackends(t *testing.T, name string, m *model.Model, check bool) {
 	t.Helper()
-	wantTr, wantS, wantRes, wantErr := runBackend(m, nsa.BackendNaive, false)
+	enum := nsa.NewEnumerator(m.Net)
+	enumErrs := 0
+	diffEnum := func(s *nsa.State) {
+		if enumErrs > 0 {
+			return // one report per configuration
+		}
+		if msg := diffTransitions(m.Net.EnabledTransitions(s, nil), enum.Enabled(s)); msg != "" {
+			enumErrs++
+			t.Errorf("%s: Enumerator at time %d: %s", name, s.Time, msg)
+		}
+	}
+	diffEnum(m.Net.InitialState())
+	wantTr, wantS, wantRes, wantErr := runBackend(m, nsa.BackendNaive, false,
+		nsa.ListenerFunc(func(_ int64, _ *nsa.Transition, _ *nsa.Network, s *nsa.State) { diffEnum(s) }))
 	gotTr, gotS, gotRes, gotErr := runBackend(m, nsa.BackendCompiled, check)
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("%s: naive err %v, compiled err %v", name, wantErr, gotErr)
@@ -130,6 +147,21 @@ func TestEngineDifferentialQuickstart(t *testing.T) {
 		}
 		diffBackends(t, "quickstart/"+pt.Key(), pm, true)
 	}
+}
+
+// diffTransitions compares naive and enumerated transition lists by kind,
+// channel and parts, returning "" when they agree.
+func diffTransitions(want, got []nsa.Transition) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d transitions, naive %d", len(got), len(want))
+	}
+	for i := range want {
+		w, g := &want[i], &got[i]
+		if w.Kind != g.Kind || w.Chan != g.Chan || !slices.Equal(w.Parts, g.Parts) {
+			return fmt.Sprintf("transition %d: got %+v, naive %+v", i, *g, *w)
+		}
+	}
+	return ""
 }
 
 func diffTraces(t *testing.T, name string, want, got *nsa.SyncTrace) {

@@ -133,9 +133,9 @@ type Spec struct {
 
 const defaultMaxPoints = 10000
 
-// Grid validation errors. Both are detected before any axis is expanded,
-// so rejecting an oversize or non-advancing grid costs the same at any
-// declared size.
+// Validation errors. Both are detected before any axis is expanded or
+// bisected, so rejecting an oversize or non-advancing spec costs the same at
+// any declared size.
 var (
 	ErrGridTooLarge = errors.New("exceeds max_points")
 	ErrStepTooSmall = errors.New("does not advance")
@@ -171,7 +171,8 @@ func ParseSpecBase(r io.Reader, base func() (*config.System, error)) (*Spec, err
 }
 
 // Validate checks the spec's internal consistency: strategy arity, axis
-// bounds, parameter requirements, and the grid size against MaxPoints.
+// bounds, parameter requirements, and the worst-case point count of every
+// strategy against MaxPoints.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("campaign: spec needs a name")
@@ -201,6 +202,9 @@ func (s *Spec) Validate() error {
 		if err := s.checkAxis(&s.Axes[0], false); err != nil {
 			return err
 		}
+		if n := s.Axes[0].bisectCost(); !(n <= float64(s.maxPoints())) {
+			return fmt.Errorf("campaign: bisection of up to %.0f points %w %d", n, ErrGridTooLarge, s.maxPoints())
+		}
 	case StrategyFrontier:
 		if len(s.Axes) != 2 {
 			return fmt.Errorf("campaign: frontier takes a row axis and a bisected axis, got %d", len(s.Axes))
@@ -210,6 +214,10 @@ func (s *Spec) Validate() error {
 		}
 		if err := s.checkAxis(&s.Axes[1], false); err != nil {
 			return err
+		}
+		// Each row bisects the column axis after one seeding probe.
+		if n := s.Axes[0].gridCells() * (s.Axes[1].bisectCost() + 1); !(n <= float64(s.maxPoints())) {
+			return fmt.Errorf("campaign: frontier of up to %.0f points %w %d", n, ErrGridTooLarge, s.maxPoints())
 		}
 	case "":
 		return fmt.Errorf("campaign: spec needs a strategy (grid, bisect, frontier)")
@@ -310,6 +318,17 @@ func (a *Axis) gridValues() []float64 {
 // expanding it: +Inf for spans no float64 count covers.
 func (a *Axis) gridCells() float64 {
 	return math.Floor((a.Max+1e-9-a.Min)/a.Step) + 1
+}
+
+// bisectCost bounds the evaluations one bisection of a may take: both
+// endpoints, plus at most ⌈log2((Max−Min)/tol)⌉+1 interior probes. Like
+// gridCells it is +Inf for spans no float64 count covers.
+func (a *Axis) bisectCost() float64 {
+	n := 2.0
+	if span := (a.Max - a.Min) / a.tol(); span > 1 {
+		n += math.Ceil(math.Log2(span)) + 1
+	}
+	return n
 }
 
 // tol returns the bisection resolution, defaulting to 1.

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,7 +13,9 @@ import (
 
 // FuzzParseSpec feeds arbitrary bodies to the spec decoder, as an
 // untrusted POST /v1/campaigns would: no input may panic, and every
-// accepted grid must expand to at most max_points points. Each body is
+// accepted spec must stay within max_points points — a grid by its
+// expansion, a bisection or frontier by running the real bisection loop
+// against boundaries placed across the bisected axis. Each body is
 // parsed alone and with the examples/imi base system injected, so target
 // axes reach their validation too.
 func FuzzParseSpec(f *testing.F) {
@@ -51,14 +54,48 @@ func FuzzParseSpec(f *testing.F) {
 				continue
 			}
 			spec.Fingerprint()
-			// Accepted grids are only expanded up to a million points: a spec
+			// Accepted specs are only expanded up to a million points: a spec
 			// may raise max_points arbitrarily, and a larger expansion is
 			// bounded by the same arithmetic count as a smaller one.
-			if spec.Strategy == StrategyGrid && spec.maxPoints() <= 1<<20 {
+			if spec.maxPoints() > 1<<20 {
+				continue
+			}
+			switch spec.Strategy {
+			case StrategyGrid:
 				if n := spec.gridSize(); n > spec.maxPoints() {
 					t.Fatalf("accepted grid of %d points over max_points %d", n, spec.maxPoints())
+				}
+			case StrategyBisect, StrategyFrontier:
+				// A frontier row costs its seeding probe plus one bisection.
+				rows, seed := 1, 0
+				if spec.Strategy == StrategyFrontier {
+					if n := spec.Axes[0].gridCells(); n > float64(spec.maxPoints()) {
+						t.Fatalf("accepted frontier of %.0f rows over max_points %d", n, spec.maxPoints())
+					}
+					rows, seed = len(spec.Axes[0].gridValues()), 1
+				}
+				col := &spec.Axes[len(spec.Axes)-1]
+				for _, f := range []float64{0.01, 1.0 / 3, 0.5, 0.99} {
+					n := rows * (seed + worstBisection(col, col.Min+f*(col.Max-col.Min), spec.maxPoints()))
+					if n > spec.maxPoints() {
+						t.Fatalf("accepted %s of %d points over max_points %d", spec.Strategy, n, spec.maxPoints())
+					}
 				}
 			}
 		}
 	})
+}
+
+// worstBisection counts the evaluations a bisection of a takes against a
+// schedulability boundary at thr, with both endpoints evaluated; it stops
+// counting past limit.
+func worstBisection(a *Axis, thr float64, limit int) int {
+	n := 2
+	a.bisectLoop(a.Min, a.Max, func(v float64) (bool, error) {
+		if n++; n > limit {
+			return false, errors.New("over limit")
+		}
+		return v <= thr, nil
+	})
+	return n
 }

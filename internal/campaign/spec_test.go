@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -132,6 +133,8 @@ var specRejects = []struct {
 	{"bad period", `{"name":"x","strategy":"bisect","generator":{"seed":1,"periods":[0]},"axes":[{"param":"util","min":0.1,"max":0.9}]}`, "not positive"},
 	{"step does not advance", `{"name":"x","strategy":"grid","generator":{"seed":1,"periods":[10]},"axes":[{"param":"util","min":1e16,"max":1e16,"step":1}]}`, "does not advance"},
 	{"grid counted not expanded", `{"name":"x","strategy":"grid","generator":{"seed":1,"periods":[10]},"axes":[{"param":"util","min":1,"max":1e12,"step":1}]}`, "exceeds max_points"},
+	{"frontier rows counted", `{"name":"x","strategy":"frontier","generator":{"seed":1,"periods":[10]},"axes":[{"param":"util","min":1,"max":1e9,"step":1},{"param":"tasks","min":1,"max":8}],"max_points":50}`, "exceeds max_points"},
+	{"bisection counted", `{"name":"x","strategy":"bisect","generator":{"seed":1,"periods":[10]},"axes":[{"param":"util","min":1,"max":1e9,"tol":1e-9}],"max_points":50}`, "exceeds max_points"},
 }
 
 func TestParseSpecRejects(t *testing.T) {
@@ -140,6 +143,9 @@ func TestParseSpecRejects(t *testing.T) {
 			_, err := ParseSpec(strings.NewReader(c.body))
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want containing %q", err, c.want)
+			}
+			if c.want == ErrGridTooLarge.Error() && !errors.Is(err, ErrGridTooLarge) {
+				t.Fatalf("err = %v, want it to wrap ErrGridTooLarge", err)
 			}
 		})
 	}
@@ -298,5 +304,24 @@ func TestMaterializeTargets(t *testing.T) {
 	// deadline — is caught by the post-apply Validate.
 	if _, err := Materialize(s, Point{"target:period:P1.T": 20, "target:wcet:P1.T": 5}); err == nil {
 		t.Fatal("period below the deadline materialized without error")
+	}
+}
+
+// TestBisectionWithinCost runs the bisection loop against boundaries across
+// axes whose tol is near float64 resolution, where lo+tol rounds back to lo:
+// the loop must end, within the cost Validate counts for the axis.
+func TestBisectionWithinCost(t *testing.T) {
+	for _, a := range []Axis{
+		{Min: 0, Max: 100, Tol: 1},
+		{Min: 0.1, Max: 0.9, Tol: 0.01},
+		{Min: 1e16, Max: 1e16 + 64, Tol: 0.5},
+		{Min: 3e15, Max: 9e15 + 7, Tol: 0.3},
+	} {
+		for i := 0; i <= 200; i++ {
+			thr := a.Min + (a.Max-a.Min)*float64(i)/200
+			if n := worstBisection(&a, thr, 10000); float64(n) > a.bisectCost() {
+				t.Fatalf("axis %+v, boundary %g: %d evaluations over the counted %.0f", a, thr, n, a.bisectCost())
+			}
+		}
 	}
 }

@@ -162,36 +162,53 @@ func (c *Campaign) bisectAxis(ctx context.Context, base Point, a *Axis, br brack
 		}
 	}
 
-	tol := a.tol()
-	iters := 0
-	for hi-lo > tol {
-		// Snap the midpoint onto the tol grid anchored at the axis
-		// minimum so bisect probes the same lattice a step-tol grid
-		// would, then nudge it inside the open interval.
-		mid := a.Min + math.Floor((lo+hi-2*a.Min)/2/tol)*tol
-		if mid <= lo {
-			mid = lo + tol
-		}
-		if mid >= hi {
-			break
-		}
+	lo, hi, iters, err := a.bisectLoop(lo, hi, func(mid float64) (bool, error) {
 		pr, err := c.evalAt(ctx, base, a.Param, mid)
 		if err != nil {
-			return nil, nil, iters, err
+			return false, err
 		}
-		iters++
 		c.Update(func(st *State) { st.Convergence.BisectIterations++ })
 		c.eng.bisectIterations.Add(1)
-		if pr.Schedulable {
-			lo = mid
-		} else {
-			hi = mid
-		}
+		return pr.Schedulable, nil
+	})
+	if err != nil {
+		return nil, nil, iters, err
 	}
 	// The loop invariant holds lo schedulable and hi unschedulable: the
 	// converged bracket is the critical value's witness pair.
 	v, u := lo, hi
 	return &v, &BracketPair{Feasible: &v, Infeasible: &u}, iters, nil
+}
+
+// bisectLoop narrows a bracket with lo schedulable and hi unschedulable
+// down to a.tol(), returning the final bracket and the number of probes.
+// Each probe snaps the midpoint onto the tol grid anchored at the axis
+// minimum, so bisect probes the same lattice a step-tol grid would, then
+// nudges it inside the open interval; the loop stops when no lattice point
+// lies strictly inside (in float64, lo+tol can round back to lo).
+func (a *Axis) bisectLoop(lo, hi float64, schedulable func(v float64) (bool, error)) (float64, float64, int, error) {
+	tol := a.tol()
+	iters := 0
+	for hi-lo > tol {
+		mid := a.Min + math.Floor((lo+hi-2*a.Min)/2/tol)*tol
+		if mid <= lo {
+			mid = lo + tol
+		}
+		if mid <= lo || mid >= hi {
+			break
+		}
+		ok, err := schedulable(mid)
+		if err != nil {
+			return lo, hi, iters, err
+		}
+		iters++
+		if ok {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, hi, iters, nil
 }
 
 // evalAt evaluates base extended with param=v, treating a failed run as a

@@ -2,24 +2,22 @@ package expr
 
 import "fmt"
 
-// Register-based expression bytecode: the third evaluation tier after the
-// tree walkers (ast.go) and the closure chains (compile.go). A resolved
-// expression compiles once into a flat instruction slice evaluated by a
-// single switch loop over an int64 register file, so the interpretation hot
-// path pays no per-node closure calls and no interface dispatch. The
-// dominant guard shapes (clock cmp const, var cmp const) compile to single
-// superinstructions.
+// Register-based expression bytecode: the optimised evaluation tier beside
+// the tree walkers (ast.go), which stay the oracle. A resolved expression
+// compiles once into a flat instruction slice evaluated by a single switch
+// loop over an int64 register file, so the interpretation hot path pays no
+// interface dispatch. The dominant guard shapes (clock cmp const, var cmp
+// const) compile to single superinstructions.
 //
 // Compilation is conservative: CompileBoolProg / CompileIntProg /
 // CompileUpdateProg return nil for any node they cannot prove well-typed
 // (unresolved identifiers, type confusion), and callers fall back to the
-// closure compiler, which preserves the tree walkers' canonical
-// *RuntimeError for malformed nodes. For everything the bytecode does
-// accept, its dynamic semantics — including panic messages for division and
-// modulo by zero, array indices out of range and domain violations, and the
-// evaluation order that determines which panic fires first — match the tree
-// walkers exactly; bytecode_fuzz_test.go holds the two tiers to that
-// contract.
+// tree walkers, which raise the canonical *RuntimeError for malformed
+// nodes. For everything the bytecode does accept, its dynamic semantics —
+// including panic messages for division and modulo by zero, array indices
+// out of range and domain violations, and the evaluation order that
+// determines which panic fires first — match the tree walkers exactly;
+// bytecode_fuzz_test.go holds the two to that contract.
 
 // opCode enumerates the bytecode instructions. A/B/C are register or index
 // operands, K an inline constant (see instr).
@@ -260,7 +258,7 @@ func b2i(b bool) int64 {
 
 // CompileBoolProg compiles a resolved bool-typed node to bytecode. It
 // returns nil when the node is not provably well-typed; callers then fall
-// back to the closure path.
+// back to the tree walker.
 func CompileBoolProg(n Node) *Prog {
 	b := &progBuilder{ok: true}
 	b.compileBool(n, 0)
@@ -405,7 +403,7 @@ func (b *progBuilder) compileCmp(n *Binary, dst int32) {
 	}
 	if n.X.Type() == TypeBool || n.Y.Type() == TypeBool {
 		// == and != over booleans; other operators are type errors the
-		// closure fallback reports canonically.
+		// tree walker reports canonically.
 		if (n.Op != OpEQ && n.Op != OpNE) || n.X.Type() != TypeBool || n.Y.Type() != TypeBool {
 			b.ok = false
 			return
@@ -497,6 +495,23 @@ func (b *progBuilder) compileInt(n Node, dst int32) {
 	default:
 		b.ok = false
 	}
+}
+
+// mirrorCmp maps "const op x" onto the equivalent "x op' const".
+func mirrorCmp(op Op) (Op, bool) {
+	switch op {
+	case OpLT:
+		return OpGT, true
+	case OpLE:
+		return OpGE, true
+	case OpGT:
+		return OpLT, true
+	case OpGE:
+		return OpLE, true
+	case OpEQ, OpNE:
+		return op, true
+	}
+	return op, false
 }
 
 // MatchCmpConst matches n as a comparison of a bare variable or clock

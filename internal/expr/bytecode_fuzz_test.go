@@ -97,8 +97,8 @@ func runOutcome(f func() string) (out string) {
 	return "ok:" + f()
 }
 
-// FuzzBytecodeVM holds the bytecode VM to the closure tier's semantics:
-// any resolved, well-typed tree must produce the identical value — or the
+// FuzzBytecodeVM holds the bytecode VM to the tree walker's semantics: any
+// resolved, well-typed tree must produce the identical value — or the
 // identical *RuntimeError — through both, including the evaluation order
 // that decides which of several possible faults surfaces first.
 func FuzzBytecodeVM(f *testing.F) {
@@ -117,6 +117,7 @@ func FuzzBytecodeVM(f *testing.F) {
 		for i := range clocks {
 			clocks[i] = int64(g.next() % 16)
 		}
+		env := testEnv{vars: vars, clocks: clocks}
 
 		if wantBool {
 			n := g.boolNode(depth)
@@ -124,12 +125,11 @@ func FuzzBytecodeVM(f *testing.F) {
 			if prog == nil {
 				t.Fatalf("well-typed bool tree rejected: %s", n)
 			}
-			closure := CompileBool(n)
 			regs := make([]int64, prog.NumRegs())
-			c := runOutcome(func() string { return fmt.Sprint(closure(vars, clocks)) })
+			w := runOutcome(func() string { return fmt.Sprint(n.EvalBool(env)) })
 			v := runOutcome(func() string { return fmt.Sprint(prog.EvalBool(vars, clocks, regs)) })
-			if c != v {
-				t.Errorf("bool tree %s: closure=%s vm=%s", n, c, v)
+			if w != v {
+				t.Errorf("bool tree %s: tree=%s vm=%s", n, w, v)
 			}
 		} else {
 			n := g.intNode(depth)
@@ -137,12 +137,11 @@ func FuzzBytecodeVM(f *testing.F) {
 			if prog == nil {
 				t.Fatalf("well-typed int tree rejected: %s", n)
 			}
-			closure := CompileInt(n)
 			regs := make([]int64, prog.NumRegs())
-			c := runOutcome(func() string { return fmt.Sprint(closure(vars, clocks)) })
+			w := runOutcome(func() string { return fmt.Sprint(n.EvalInt(env)) })
 			v := runOutcome(func() string { return fmt.Sprint(prog.EvalInt(vars, clocks, regs)) })
-			if c != v {
-				t.Errorf("int tree %s: closure=%s vm=%s", n, c, v)
+			if w != v {
+				t.Errorf("int tree %s: tree=%s vm=%s", n, w, v)
 			}
 		}
 	})

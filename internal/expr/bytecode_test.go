@@ -4,20 +4,19 @@ import (
 	"testing"
 )
 
-// evalTiers evaluates a bool node through all three tiers (tree walker,
-// closure chain, bytecode VM) and checks they agree, returning the value.
+// evalBoolTiers evaluates a bool node through the tree walker (the oracle)
+// and the bytecode VM and checks they agree, returning the value.
 func evalBoolTiers(t *testing.T, src string, vars, clocks []int64) bool {
 	t.Helper()
 	n := MustParseResolve(src, testScope(), TypeBool)
 	tree := n.EvalBool(testEnv{vars: vars, clocks: clocks})
-	closure := CompileBool(n)(vars, clocks)
 	prog := CompileBoolProg(n)
 	if prog == nil {
 		t.Fatalf("%q: CompileBoolProg returned nil", src)
 	}
 	vm := prog.EvalBool(vars, clocks, make([]int64, prog.NumRegs()))
-	if tree != closure || tree != vm {
-		t.Fatalf("%q: tree=%t closure=%t vm=%t", src, tree, closure, vm)
+	if tree != vm {
+		t.Fatalf("%q: tree=%t vm=%t", src, tree, vm)
 	}
 	return tree
 }
@@ -26,14 +25,13 @@ func evalIntTiers(t *testing.T, src string, vars, clocks []int64) int64 {
 	t.Helper()
 	n := MustParseResolve(src, testScope(), TypeInt)
 	tree := n.EvalInt(testEnv{vars: vars, clocks: clocks})
-	closure := CompileInt(n)(vars, clocks)
 	prog := CompileIntProg(n)
 	if prog == nil {
 		t.Fatalf("%q: CompileIntProg returned nil", src)
 	}
 	vm := prog.EvalInt(vars, clocks, make([]int64, prog.NumRegs()))
-	if tree != closure || tree != vm {
-		t.Fatalf("%q: tree=%d closure=%d vm=%d", src, tree, closure, vm)
+	if tree != vm {
+		t.Fatalf("%q: tree=%d vm=%d", src, tree, vm)
 	}
 	return tree
 }
@@ -47,11 +45,11 @@ func TestBytecodeBoolParity(t *testing.T) {
 		"4 == x", "4 != x",
 		"!(x > 0)",
 		"x > 0 && y > 0", "x > 0 || y > 0",
-		"x != 0 && 10 / x > 1",   // short circuit must protect the division
-		"x == 0 || 10 / x > 1",   // likewise for ||
-		"(x > 0) == (y > 0)",     // bool equality
-		"(x > 0) != (y > 0)",     // bool inequality
-		"t - u >= x + y",         // reg-reg comparison
+		"x != 0 && 10 / x > 1", // short circuit must protect the division
+		"x == 0 || 10 / x > 1", // likewise for ||
+		"(x > 0) == (y > 0)",   // bool equality
+		"(x > 0) != (y > 0)",   // bool inequality
+		"t - u >= x + y",       // reg-reg comparison
 		"x + y * 2 - arr[1] / (y + 3) % 3 > t - u",
 		"x > 0 ? t <= 10 : t > 10", // bool-valued conditional
 	}
@@ -138,15 +136,15 @@ func TestBytecodePanicParity(t *testing.T) {
 	clocks := []int64{0, 0}
 	for _, c := range cases {
 		n := MustParseResolve(c.src, testScope(), TypeInt)
-		closureMsg := capture(t, func() { CompileInt(n)(c.vars, clocks) })
+		treeMsg := capture(t, func() { n.EvalInt(testEnv{vars: c.vars, clocks: clocks}) })
 		prog := CompileIntProg(n)
 		if prog == nil {
 			t.Fatalf("%q: not compiled", c.src)
 		}
 		regs := make([]int64, prog.NumRegs())
 		vmMsg := capture(t, func() { prog.EvalInt(c.vars, clocks, regs) })
-		if closureMsg == "" || closureMsg != vmMsg {
-			t.Errorf("%q: closure panic %q, vm panic %q", c.src, closureMsg, vmMsg)
+		if treeMsg == "" || treeMsg != vmMsg {
+			t.Errorf("%q: tree panic %q, vm panic %q", c.src, treeMsg, vmMsg)
 		}
 	}
 }
@@ -220,11 +218,11 @@ func TestBytecodeUpdatePanicParity(t *testing.T) {
 		src  string
 		vars []int64
 	}{
-		{"x = x * 100", []int64{4, 0, 0, 0, 0}},  // domain violation on x
-		{"arr[y] = 1", []int64{0, 7, 0, 0, 0}},   // target index out of range
+		{"x = x * 100", []int64{4, 0, 0, 0, 0}},    // domain violation on x
+		{"arr[y] = 1", []int64{0, 7, 0, 0, 0}},     // target index out of range
 		{"arr[y] = 1 / x", []int64{0, 7, 0, 0, 0}}, // index panic fires before value eval
-		{"x = 1 / y", []int64{4, 0, 0, 0, 0}},    // value panic before store
-		{"arr[0] = -1", []int64{0, 0, 5, 0, 0}},  // domain violation through array
+		{"x = 1 / y", []int64{4, 0, 0, 0, 0}},      // value panic before store
+		{"arr[0] = -1", []int64{0, 0, 5, 0, 0}},    // domain violation through array
 	}
 	for _, c := range cases {
 		l := MustParseResolveUpdate(c.src, testScope())
@@ -250,7 +248,7 @@ func TestBytecodeUpdatePanicParity(t *testing.T) {
 }
 
 // TestBytecodeRejectsOpaque pins that the compiler bails (returns nil) on
-// nodes it cannot prove well-typed, leaving them to the closure fallback.
+// nodes it cannot prove well-typed, leaving them to the tree walker.
 func TestBytecodeRejectsOpaque(t *testing.T) {
 	if CompileBoolProg(&Ident{Name: "z"}) != nil {
 		t.Error("unresolved identifier compiled")

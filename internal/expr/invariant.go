@@ -29,9 +29,6 @@ type invAtom struct {
 	strict bool // clock < bound rather than clock <= bound
 	bound  Node // clock-free int expression (nil for clock-free atoms)
 	free   Node // the original clock-free boolean atom
-
-	boundFn IntFn  // compiled bound (clock atoms)
-	freeFn  BoolFn // compiled free atom (clock-free atoms)
 }
 
 // Invariant is a checked location invariant supporting both satisfaction
@@ -88,7 +85,7 @@ func (inv *Invariant) collect(n Node) error {
 	}
 	clocks := Clocks(n, nil)
 	if len(clocks) == 0 {
-		inv.atoms = append(inv.atoms, invAtom{clock: -1, free: n, freeFn: CompileBool(n)})
+		inv.atoms = append(inv.atoms, invAtom{clock: -1, free: n})
 		return nil
 	}
 	b, ok := n.(*Binary)
@@ -114,7 +111,7 @@ func (inv *Invariant) collect(n Node) error {
 	if len(Clocks(boundSide, nil)) != 0 {
 		return &InvariantError{Expr: inv.src, Msg: fmt.Sprintf("bound of clock atom %q must be clock-free", n)}
 	}
-	inv.atoms = append(inv.atoms, invAtom{clock: cr.Index, strict: strict, bound: boundSide, boundFn: CompileInt(boundSide)})
+	inv.atoms = append(inv.atoms, invAtom{clock: cr.Index, strict: strict, bound: boundSide})
 	return nil
 }
 
@@ -185,16 +182,14 @@ func (inv *Invariant) AppendDeps(vars, clocks []int) ([]int, []int) {
 
 // InvariantAtom is the read-only view of one normalized invariant atom,
 // exposed so backend compilers can flatten invariants into their own
-// representations. For clock atoms (Clock >= 0) Bound/BoundFn give the
-// clock-free upper bound; for clock-free atoms (Clock == -1) Free/FreeFn
-// give the boolean conjunct.
+// representations. For clock atoms (Clock >= 0) Bound gives the clock-free
+// upper bound; for clock-free atoms (Clock == -1) Free gives the boolean
+// conjunct.
 type InvariantAtom struct {
-	Clock   int
-	Strict  bool
-	Bound   Node
-	Free    Node
-	BoundFn IntFn
-	FreeFn  BoolFn
+	Clock  int
+	Strict bool
+	Bound  Node
+	Free   Node
 }
 
 // AtomList returns the invariant's normalized atoms.
@@ -202,14 +197,7 @@ func (inv *Invariant) AtomList() []InvariantAtom {
 	out := make([]InvariantAtom, len(inv.atoms))
 	for i := range inv.atoms {
 		a := &inv.atoms[i]
-		out[i] = InvariantAtom{
-			Clock:   a.clock,
-			Strict:  a.strict,
-			Bound:   a.bound,
-			Free:    a.free,
-			BoundFn: a.boundFn,
-			FreeFn:  a.freeFn,
-		}
+		out[i] = InvariantAtom{Clock: a.clock, Strict: a.strict, Bound: a.bound, Free: a.free}
 	}
 	return out
 }

@@ -252,6 +252,28 @@ func Clocks(n Node, dst []int) []int {
 	return dst
 }
 
+// Vars appends the global indices of all variables n may read to dst and
+// returns it; duplicates are possible. A DynVarRef contributes its whole
+// array range, since the element read is only known at evaluation time.
+func Vars(n Node, dst []int) []int {
+	switch n := n.(type) {
+	case *VarRef:
+		return append(dst, n.Index)
+	case *DynVarRef:
+		for i := 0; i < n.Len; i++ {
+			dst = append(dst, n.Base+i)
+		}
+		return Vars(n.Index, dst)
+	case *Unary:
+		return Vars(n.X, dst)
+	case *Binary:
+		return Vars(n.Y, Vars(n.X, dst))
+	case *Cond:
+		return Vars(n.B, Vars(n.A, Vars(n.C, dst)))
+	}
+	return dst
+}
+
 // MustParseResolve is a test/model-construction helper combining Parse and
 // Resolve; it panics on error.
 func MustParseResolve(src string, sc Scope, want Type) Node {

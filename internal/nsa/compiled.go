@@ -11,15 +11,15 @@ import (
 // scratch arena, allocating nothing on the steady-state hot path. After each
 // step it re-evaluates only the automata the step may have affected:
 // transition participants, readers of the variables and clocks the
-// transition wrote (per the static write footprints in netIndex), readers of
-// clocks whose stopped status flipped, and — after a delay — the automata
-// whose current location has a clock-dependent guard. Invariant expiries and
-// guard wake-up points live in lazily-invalidated min-heaps keyed by
-// absolute model time. On top of that dirty tracking it adds three
+// transition wrote (per the static write footprints in compiledNet),
+// readers of clocks whose stopped status flipped, and — after a delay — the
+// automata whose current location has a clock-dependent guard. Invariant
+// expiries and guard wake-up points live in lazily-invalidated min-heaps
+// keyed by absolute model time. On top of that dirty tracking it adds three
 // mechanisms:
 //
 //   - Guards and updates run as inlined comparisons or expression bytecode
-//     (compiledNet), not closure chains, with one shared register file.
+//     (compiledNet), with one shared register file.
 //   - Enabled-set maintenance and deadline maintenance are split into two
 //     dirt planes. Per-channel synchronization half lists are maintained
 //     incrementally (sorted surgery on location changes) instead of being
@@ -39,7 +39,6 @@ import (
 type compiledRuntime struct {
 	net *Network
 	cn  *compiledNet
-	idx *netIndex
 	s   *State
 	env stateEnv
 
@@ -100,9 +99,9 @@ type compiledRuntime struct {
 	scrRecv []halfRef
 	scrWake []int32
 
-	probe                                   *obs.Probe
-	statGuard, statByte, statSlow, statPush int64
-	statDl, statUnchanged, statFirst        int64
+	probe                                      *obs.Probe
+	guards                                     guardCounts
+	statPush, statDl, statUnchanged, statFirst int64
 }
 
 func newCompiledRuntime(net *Network, s *State, probe *obs.Probe) *compiledRuntime {
@@ -111,7 +110,6 @@ func newCompiledRuntime(net *Network, s *State, probe *obs.Probe) *compiledRunti
 	r := &compiledRuntime{
 		net:        net,
 		cn:         cn,
-		idx:        net.index(),
 		s:          s,
 		env:        stateEnv{n: net, s: s},
 		regs:       make([]int64, cn.maxRegs),
@@ -224,58 +222,11 @@ func (r *compiledRuntime) dirtyAllBoth() {
 	}
 }
 
-// evalGuard evaluates one pre-classified guard, cheapest tier first.
-func (r *compiledRuntime) evalGuard(ce *cedge) bool {
-	switch ce.gkind {
-	case gTrue:
-		return true
-	case gVarCmpK:
-		return cmpConst(r.s.Vars[ce.gidx], ce.gop, ce.gk)
-	case gClockCmpK:
-		return cmpConst(r.s.Clocks[ce.gidx], ce.gop, ce.gk)
-	case gCmpList:
-		for i := ce.gidx; i < ce.gidx+ce.gn; i++ {
-			c := &r.cn.cmps[i]
-			v := r.s.Vars
-			if c.IsClock {
-				v = r.s.Clocks
-			}
-			if !cmpConst(v[c.Idx], c.Op, c.K) {
-				return false
-			}
-		}
-		return true
-	case gProg:
-		return r.cn.progs[ce.gidx].EvalBool(r.s.Vars, r.s.Clocks, r.regs)
-	case gClosure:
-		return r.cn.fns[ce.gidx](r.s.Vars, r.s.Clocks)
-	default: // gOpaque
-		return guardHolds(r.cn.slows[ce.gidx], &r.env)
-	}
-}
-
-func cmpConst(v int64, op expr.Op, k int64) bool {
-	switch op {
-	case expr.OpLT:
-		return v < k
-	case expr.OpLE:
-		return v <= k
-	case expr.OpGT:
-		return v > k
-	case expr.OpGE:
-		return v >= k
-	case expr.OpEQ:
-		return v == k
-	default: // OpNE
-		return v != k
-	}
-}
-
 // settle recomputes the enabled sets of every dirty automaton (plus the
 // always-dirty ones). Both query paths (first, enabled) and delayBound call
 // it; on a clean plane it is a no-op.
 func (r *compiledRuntime) settle() {
-	for _, ai := range r.idx.alwaysDirty {
+	for _, ai := range r.cn.alwaysDirty {
 		// Opaque footprints can change anything between steps, including
 		// wake points and delay room: keep both planes dirty.
 		r.markEn(ai)
@@ -312,15 +263,9 @@ func (r *compiledRuntime) recomputeEnabled(ai int32) {
 	for i := range c.edges {
 		ce := &c.edges[i]
 		if counting {
-			r.statGuard++
-			switch ce.gkind {
-			case gVarCmpK, gClockCmpK, gCmpList, gProg:
-				r.statByte++
-			case gOpaque:
-				r.statSlow++
-			}
+			r.guards.count(ce.gkind)
 		}
-		if r.evalGuard(ce) {
+		if r.cn.evalGuard(ce, r.s.Vars, r.s.Clocks, r.regs, &r.env) {
 			switch ce.dir {
 			case sa.NoSync:
 				r.scrInt = append(r.scrInt, ce.edge)
@@ -701,8 +646,8 @@ func (r *compiledRuntime) atomsMaxDelay(atoms []catom) int64 {
 			continue
 		}
 		b := a.k
-		if a.kind == aFnBound {
-			b = a.boundFn(r.s.Vars, r.s.Clocks)
+		if a.kind == aProgBound {
+			b = a.prog.EvalInt(r.s.Vars, r.s.Clocks, r.regs)
 		}
 		room := b - r.s.Clocks[a.clock]
 		if a.strict {
@@ -720,14 +665,14 @@ func (r *compiledRuntime) atomsHold(atoms []catom) bool {
 	for i := range atoms {
 		a := &atoms[i]
 		if a.kind == aFree {
-			if !a.freeFn(r.s.Vars, r.s.Clocks) {
+			if !a.prog.EvalBool(r.s.Vars, r.s.Clocks, r.regs) {
 				return false
 			}
 			continue
 		}
 		b := a.k
-		if a.kind == aFnBound {
-			b = a.boundFn(r.s.Vars, r.s.Clocks)
+		if a.kind == aProgBound {
+			b = a.prog.EvalInt(r.s.Vars, r.s.Clocks, r.regs)
 		}
 		c := r.s.Clocks[a.clock]
 		if a.strict {
@@ -824,15 +769,15 @@ func (r *compiledRuntime) afterFire(tr *Transition) {
 		if old, now := r.oldLocs[i], s.Locs[p.Aut]; old != now {
 			r.locChanged(p.Aut, old, now)
 		}
-		if r.idx.writeUnknown[p.Aut][p.Edge] {
+		if r.cn.writeUnknown[p.Aut][p.Edge] {
 			r.dirtyAllBoth()
 			continue
 		}
-		for _, v := range r.idx.writeVars[p.Aut][p.Edge] {
-			r.markBoth(r.idx.varReaders[v])
+		for _, v := range r.cn.writeVars[p.Aut][p.Edge] {
+			r.markBoth(r.cn.varReaders[v])
 		}
-		for _, c := range r.idx.writeClocks[p.Aut][p.Edge] {
-			r.markBoth(r.idx.clockReaders[c])
+		for _, c := range r.cn.writeClocks[p.Aut][p.Edge] {
+			r.markBoth(r.cn.clockReaders[c])
 		}
 	}
 }
@@ -854,14 +799,14 @@ func (r *compiledRuntime) locChanged(ai int, old, now sa.LocID) {
 		r.stopCount[c]--
 		if r.stopCount[c] == 0 {
 			r.stopped[c] = false
-			r.markBoth(r.idx.clockReaders[c])
+			r.markBoth(r.cn.clockReaders[c])
 		}
 	}
 	for _, c := range lnew.Stopped {
 		r.stopCount[c]++
 		if r.stopCount[c] == 1 {
 			r.stopped[c] = true
-			r.markBoth(r.idx.clockReaders[c])
+			r.markBoth(r.cn.clockReaders[c])
 		}
 	}
 	base := r.cn.locBase[ai]
@@ -882,7 +827,7 @@ func (r *compiledRuntime) locChanged(ai int, old, now sa.LocID) {
 // invariant expiries are stored as absolute times that a uniform advance
 // does not move.
 func (r *compiledRuntime) advance(d int64) error {
-	if len(r.idx.alwaysDirty) > 0 {
+	if len(r.cn.alwaysDirty) > 0 {
 		// Opaque guards or invariants present: use the checked path.
 		if err := r.net.Advance(r.s, d); err != nil {
 			return err
@@ -912,13 +857,7 @@ func (r *compiledRuntime) flushStats() {
 	if p == nil {
 		return
 	}
-	if r.statGuard > 0 {
-		p.GuardEvals.Add(r.statGuard)
-		p.GuardCompiled.Add(r.statGuard - r.statSlow)
-		p.GuardBytecode.Add(r.statByte)
-		p.GuardOpaque.Add(r.statSlow)
-		r.statGuard, r.statByte, r.statSlow = 0, 0, 0
-	}
+	r.guards.flush(p)
 	if r.statPush > 0 {
 		p.HeapPushes.Add(r.statPush)
 		r.statPush = 0

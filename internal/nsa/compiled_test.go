@@ -1,7 +1,9 @@
 package nsa
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -206,5 +208,81 @@ func TestCheckEngineUrgentBroadcast(t *testing.T) {
 	}
 	if got := eng.State().Vars[n1]; got != 2 {
 		t.Errorf("n1 = %d, want 2 (both receivers moved)", got)
+	}
+}
+
+// TestOpaqueExprGuardParity: an expression guard the bytecode rejects (here
+// one reaching an unresolved identifier) runs on the opaque tier, and both
+// backends and the Enumerator must agree with the naive tree walk — the same
+// run when short-circuiting keeps the identifier unevaluated, the same
+// error when it is reached.
+func TestOpaqueExprGuardParity(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		x       int64
+		wantErr string
+	}{
+		{"short-circuited", 1, ""},
+		{"reached", 0, "unresolved identifier"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := NewBuilder()
+			b.Var("x", c.x)
+			ck := b.Clock("t")
+			sc := b.Scope()
+			// (x > 0 || z) && t >= 2, with z left unresolved.
+			g := &expr.Binary{Op: expr.OpAnd,
+				X: &expr.Binary{Op: expr.OpOr,
+					X: expr.MustParseResolve("x > 0", sc, expr.TypeBool),
+					Y: &expr.Ident{Name: "z"}},
+				Y: expr.MustParseResolve("t >= 2", sc, expr.TypeBool)}
+			if expr.CompileBoolProg(g) != nil {
+				t.Fatal("guard compiled to bytecode; the test needs an opaque one")
+			}
+			ab := sa.NewBuilder("A")
+			ab.OwnClock(ck)
+			l0 := ab.Loc("L0", sa.WithInvariant(mustInv(t, "t <= 5", sc)))
+			l1 := ab.Loc("L1")
+			ab.Init(l0)
+			ab.Edge(l0, l1, sa.NewExprGuard(g), sa.None, nil)
+			b.Add(ab.MustBuild())
+			net := b.MustBuild()
+
+			run := func(bk Backend) (string, *SyncTrace) {
+				tr := &SyncTrace{}
+				res, err := NewEngine(net, Options{Horizon: 20, Backend: bk, Listeners: []Listener{tr}}).Run()
+				if err != nil {
+					return err.Error(), tr
+				}
+				return fmt.Sprintf("%+v", res), tr
+			}
+			want, wantTr := run(BackendNaive)
+			got, gotTr := run(BackendCompiled)
+			if got != want || !reflect.DeepEqual(gotTr.Events, wantTr.Events) {
+				t.Fatalf("compiled %q %v, naive %q %v", got, gotTr.Events, want, wantTr.Events)
+			}
+			if c.wantErr != "" && !strings.Contains(want, c.wantErr) {
+				t.Fatalf("run = %q, want an error containing %q", want, c.wantErr)
+			}
+			if c.wantErr == "" && len(wantTr.Events) != 1 {
+				t.Fatalf("run = %q with %d events, want the guarded edge to fire once", want, len(wantTr.Events))
+			}
+
+			s := net.InitialState()
+			s.Clocks[ck] = 2
+			enabled := func(f func() []Transition) (out string) {
+				defer func() {
+					if r := recover(); r != nil {
+						out = fmt.Sprint("panic: ", r)
+					}
+				}()
+				return fmt.Sprint(f())
+			}
+			wantEn := enabled(func() []Transition { return net.EnabledTransitions(s, nil) })
+			gotEn := enabled(func() []Transition { return NewEnumerator(net).Enabled(s) })
+			if gotEn != wantEn {
+				t.Fatalf("Enumerator %s, naive %s", gotEn, wantEn)
+			}
+		})
 	}
 }

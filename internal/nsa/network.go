@@ -47,13 +47,9 @@ type Network struct {
 	consts map[string]int64
 	scope  expr.Scope
 
-	// idx is the static interpretation index (see index.go), built by
-	// Builder.Build and shared by all engines and enumerators over this
-	// network.
-	idx *netIndex
-
-	// cnet is the flat compiled execution form (see compile.go), built by
-	// Builder.Build and shared by all compiled runtimes over this network.
+	// cnet is the network's one static form (see compile.go), built by
+	// Builder.Build and shared by every compiled runtime and Enumerator
+	// over this network.
 	cnet *compiledNet
 }
 
@@ -244,7 +240,6 @@ func (b *Builder) Build() (*Network, error) {
 	}
 	net.consts = b.consts
 	net.scope = builderScope{b}
-	net.idx = buildIndex(&net)
 	net.cnet = buildCompiledNet(&net)
 	return &net, nil
 }
@@ -258,11 +253,10 @@ func (b *Builder) MustBuild() *Network {
 	return n
 }
 
-// Reindex rebuilds the interpretation index and the compiled execution
-// form. Build constructs both once; callers that mutate automata afterwards
-// (test sabotage helpers) must reindex before interpreting the network again.
+// Reindex rebuilds the compiled form. Build constructs it once; callers
+// that mutate automata afterwards (test sabotage helpers) must reindex
+// before interpreting the network again.
 func (n *Network) Reindex() {
-	n.idx = buildIndex(n)
 	n.cnet = buildCompiledNet(n)
 }
 

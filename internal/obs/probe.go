@@ -17,11 +17,11 @@ import "sync/atomic"
 //     tests can check internal consistency.
 //   - SyncInternal, SyncBinary, SyncBroadcast: action transitions by
 //     synchronization kind; their sum equals Actions.
-//   - GuardEvals: guard evaluations on the indexed interpretation paths
+//   - GuardEvals: guard evaluations on the compiled interpretation paths
 //     (engine runtime recomputation and Enumerator scans), split into
-//     GuardCompiled (compiled expression closure or cheaper), GuardBytecode
-//     (the bytecode and inlined-comparison subset of GuardCompiled, compiled
-//     backend only) and GuardOpaque (interface dispatch through the
+//     GuardCompiled (any compiled tier: no guard, inlined comparison or
+//     bytecode), GuardBytecode (the bytecode and inlined-comparison subset
+//     of GuardCompiled) and GuardOpaque (interface dispatch through the
 //     environment).
 //   - EnabledCalls: enabled-set queries. Recomputes counts automata whose
 //     cached enabled sets had to be rebuilt (dirty); CacheReuses counts

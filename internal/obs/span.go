@@ -13,7 +13,7 @@ const (
 	PhaseParse     = "parse"     // read the input (XML, JSON, XTA source)
 	PhaseValidate  = "validate"  // configuration validation
 	PhaseBuild     = "build"     // model construction (Algorithm 1)
-	PhaseIndex     = "index"     // static interpretation index construction
+	PhaseIndex     = "index"     // static compiled-network construction
 	PhaseInterpret = "interpret" // the NSA interpretation run
 	PhaseCheck     = "check"     // schedulability criterion over the trace
 	PhaseExport    = "export"    // trace/report serialization

@@ -212,11 +212,19 @@ func (s *Store) replay(f *os.File) (int64, error) {
 	}
 }
 
-// applyRecord folds one replayed record into the index.
+// applyRecord folds one replayed record into the index. A put is trusted
+// only in the shape Put writes it — valid kind and key, the object path
+// derived from them, a non-negative size — so a tampered or partially
+// restored journal can never point the store outside its objects
+// directory; anything else counts as dead, like an unknown op.
 func (s *Store) applyRecord(rec journalRec) {
 	ik := indexKey(rec.Kind, rec.Key)
 	switch rec.Op {
 	case opPut:
+		if !validKey(rec.Kind) || !validKey(rec.Key) || rec.File != objectPath(rec.Kind, rec.Key) || rec.Size < 0 {
+			s.dead++
+			return
+		}
 		if old := s.index[ik]; old != nil {
 			s.accountRemove(old)
 			s.order.Remove(old.elem)
