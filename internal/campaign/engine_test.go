@@ -14,8 +14,8 @@ import (
 )
 
 // bdSystem is the breakdown reference: one task C=10, T=D=40 on a full
-// window. analysis.CriticalScaling pins its critical WCET scale at 409%
-// (409% of 10 truncates to 40 = the deadline; 410% yields 41).
+// window. Its critical WCET scale is 409% (409% of 10 truncates to 40 =
+// the deadline; 410% yields 41).
 func bdSystem() *config.System {
 	return &config.System{
 		Name:      "bd",
@@ -144,6 +144,19 @@ func TestBisectMatchesGrid(t *testing.T) {
 					sweepCritical = p.Point[ParamWCETPct]
 				}
 			}
+			// Every scale in [400, 409] truncates C=10 to 40 (and [410,
+			// 419] to 41): the first point of each configuration computes,
+			// its aliases answer from a cache tier.
+			seen := map[string]bool{}
+			for _, p := range grid.Points {
+				if seen[p.Fingerprint] && p.Source == SourceComputed {
+					t.Errorf("alias point %s recomputed", p.Point.Key())
+				}
+				seen[p.Fingerprint] = true
+			}
+			if len(seen) != 3 {
+				t.Errorf("scan covers %d configurations, want 3 (WCET 40, 41, 42)", len(seen))
+			}
 			if sweepCritical != 409 {
 				t.Fatalf("exhaustive sweep critical = %g, want 409", sweepCritical)
 			}
@@ -186,33 +199,75 @@ func sameSummaries(t *testing.T, sums [][]byte) {
 	}
 }
 
+// TestBisectDegenerateEnds pins breakdown answers of bisect on wcet_pct:
+// interior critical points, and both degenerate ends — an interval
+// schedulable throughout reports its maximum, one schedulable nowhere
+// reports nil.
 func TestBisectDegenerateEnds(t *testing.T) {
 	pool := jobs.New(jobs.Options{Workers: 1})
 	defer pool.Close()
 	eng := NewEngine(pool, nil, nil)
 
-	// Everything schedulable: critical is the axis maximum.
-	hi := runCampaign(t, eng, &Spec{
-		Name: "all-ok", Strategy: StrategyBisect, Base: bdSystem(),
-		Axes: []Axis{{Param: ParamWCETPct, Min: 50, Max: 300, Tol: 1}},
-	})
-	if hi.Status != StatusDone || hi.Critical == nil || *hi.Critical != 300 {
-		t.Fatalf("all-schedulable: status=%s critical=%v", hi.Status, hi.Critical)
+	// fpps builds one full-window FPPS partition over tasks of one period.
+	fpps := func(tasks ...config.Task) *config.System {
+		sys := bdSystem()
+		sys.Partitions[0].Tasks = tasks
+		sys.Partitions[0].Windows[0].End = tasks[0].Period
+		return sys
 	}
-	if b := hi.Bracket; b == nil || b.Feasible == nil || *b.Feasible != 300 || b.Infeasible != nil {
-		t.Fatalf("all-schedulable bracket = %+v, want feasible 300 only", hi.Bracket)
+	pair := func(c, p int64) *config.System {
+		return fpps(
+			config.Task{Name: "A", Priority: 2, WCET: []int64{c}, Period: p, Deadline: p},
+			config.Task{Name: "B", Priority: 1, WCET: []int64{c}, Period: p, Deadline: p})
 	}
-	// Nothing schedulable: critical is nil.
-	lo := runCampaign(t, eng, &Spec{
-		Name: "none-ok", Strategy: StrategyBisect, Base: bdSystem(),
-		Axes: []Axis{{Param: ParamWCETPct, Min: 500, Max: 900, Tol: 1}},
-	})
-	if lo.Status != StatusDone || lo.Critical != nil {
-		t.Fatalf("none-schedulable: status=%s critical=%v", lo.Status, lo.Critical)
+	// Three tasks due every 2 ticks overload the core even with every
+	// WCET clamped to 1.
+	crowded := fpps(
+		config.Task{Name: "A", Priority: 3, WCET: []int64{1}, Period: 2, Deadline: 2},
+		config.Task{Name: "B", Priority: 2, WCET: []int64{1}, Period: 2, Deadline: 2},
+		config.Task{Name: "C", Priority: 1, WCET: []int64{1}, Period: 2, Deadline: 2})
+	for _, tc := range []struct {
+		name               string
+		base               *config.System
+		min, max           float64
+		crit, feas, infeas float64 // 0: absent
+	}{
+		// C=10, T=D=40: 409% of 10 truncates to 40, 410% is 41.
+		{"known answer", bdSystem(), 1, 1000, 409, 409, 410},
+		// Two tasks C=5, T=D=20: 219% gives 10+10, 220% gives 11+11 > 20.
+		{"two tasks", pair(5, 20), 1, 400, 219, 219, 220},
+		// C=100 each against a 20-tick frame: WCETs must shrink to 10%.
+		{"overloaded shrinks", pair(100, 20), 1, 400, 10, 10, 11},
+		{"bound reached", fpps(config.Task{Name: "T", Priority: 1, WCET: []int64{1}, Period: 40, Deadline: 40}), 1, 150, 150, 150, 0},
+		{"all schedulable", bdSystem(), 50, 300, 300, 300, 0},
+		{"none schedulable", bdSystem(), 500, 900, 0, 0, 500},
+		{"overloaded at the minimum", crowded, 1, 400, 0, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := runCampaign(t, eng, &Spec{
+				Name: tc.name, Strategy: StrategyBisect, Base: tc.base,
+				Axes: []Axis{{Param: ParamWCETPct, Min: tc.min, Max: tc.max, Tol: 1}},
+			})
+			if st.Status != StatusDone {
+				t.Fatalf("status = %s (%s)", st.Status, st.Error)
+			}
+			if got := orZero(st.Critical); got != tc.crit {
+				t.Errorf("critical = %g, want %g (0: nil)", got, tc.crit)
+			}
+			b := st.Bracket
+			if b == nil || orZero(b.Feasible) != tc.feas || orZero(b.Infeasible) != tc.infeas {
+				t.Errorf("bracket = %+v, want [%g schedulable, %g unschedulable] (0: absent)", b, tc.feas, tc.infeas)
+			}
+		})
 	}
-	if b := lo.Bracket; b == nil || b.Infeasible == nil || *b.Infeasible != 500 || b.Feasible != nil {
-		t.Fatalf("none-schedulable bracket = %+v, want infeasible 500 only", lo.Bracket)
+}
+
+// orZero dereferences an optional value, 0 when absent.
+func orZero(v *float64) float64 {
+	if v == nil {
+		return 0
 	}
+	return *v
 }
 
 func TestFrontierCampaign(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"stopwatchsim/internal/analysis"
 	"stopwatchsim/internal/config"
 	"stopwatchsim/internal/gen"
 )
@@ -31,12 +30,12 @@ func (p Point) Key() string {
 
 // Materialize builds the concrete system configuration at a point. Points
 // over synthetic axes (util, tasks) generate a UUniFast task set from the
-// spec's Generator; points over base axes (wcet_pct, quantum) mutate a
-// copy of the spec's base system. A synthetic point can additionally be
-// scaled/mutated when both kinds of axes appear. Materialization is
-// deterministic: the same spec and point always yield the same system,
-// hence the same config.Fingerprint — the invariant resume and the
-// persistent cache tier rest on.
+// spec's Generator; points over base axes (wcet_pct, quantum, target:)
+// mutate a clone of the spec's base system through config.ParamTarget. A
+// synthetic point can additionally be mutated when both kinds of axes
+// appear. Materialization is deterministic: the same spec and point always
+// yield the same system, hence the same config.Fingerprint — the invariant
+// resume and the persistent cache tier rest on.
 func Materialize(s *Spec, pt Point) (*config.System, error) {
 	util, haveUtil := pt[ParamUtil]
 	tasks, haveTasks := pt[ParamTasks]
@@ -64,52 +63,31 @@ func Materialize(s *Spec, pt Point) (*config.System, error) {
 		}
 		sys = gen.UtilizationConfig(g.Seed, n, u, g.Periods)
 	case s.Base != nil:
-		sys = s.Base
+		sys = s.Base.Clone()
 	default:
 		return nil, fmt.Errorf("campaign: point %s matches neither base nor generator", pt.Key())
 	}
 
-	// ScaleWCET deep-copies the partition and task slices, so the returned
-	// system is safe to mutate further and the spec's base stays pristine.
-	pct := int64(100)
-	if v, ok := pt[ParamWCETPct]; ok {
-		pct = int64(math.Round(v))
-		if pct < 1 {
-			return nil, fmt.Errorf("campaign: point %s scales WCET to %d%%", pt.Key(), pct)
-		}
-	}
-	sys = analysis.ScaleWCET(sys, pct)
-
-	if v, ok := pt[ParamQuantum]; ok {
-		q := int64(math.Round(v))
-		if q < 1 {
-			return nil, fmt.Errorf("campaign: point %s has non-positive quantum", pt.Key())
-		}
-		for i := range sys.Partitions {
-			if sys.Partitions[i].Policy == config.RR {
-				sys.Partitions[i].Quantum = q
-			}
-		}
-	}
-
-	// Target axes mutate named fields through config.ParamTarget, applied
-	// in sorted param order so every permutation of the same point yields
-	// the same system (hence the same fingerprint). ScaleWCET's copy is
-	// shallow around windows, so targets work on a full clone.
+	// Scaling and setting a WCET do not commute, so parameters apply in one
+	// fixed order — wcet_pct, quantum, then the target: axes sorted — and
+	// every permutation of the same point yields the same system (hence
+	// the same fingerprint).
 	var targets []string
 	for k := range pt {
 		if strings.HasPrefix(k, TargetPrefix) {
 			targets = append(targets, k)
 		}
 	}
-	if len(targets) > 0 {
-		sort.Strings(targets)
-		sys = sys.Clone()
-		for _, k := range targets {
-			t, err := config.ParseParamTarget(strings.TrimPrefix(k, TargetPrefix))
-			if err != nil {
-				return nil, fmt.Errorf("campaign: point %s: %w", pt.Key(), err)
-			}
+	sort.Strings(targets)
+	for _, k := range append([]string{ParamWCETPct, ParamQuantum}, targets...) {
+		if _, ok := pt[k]; !ok {
+			continue
+		}
+		ts, err := axisTargets(k, sys)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: point %s: %w", pt.Key(), err)
+		}
+		for _, t := range ts {
 			if err := t.Apply(sys, pt[k]); err != nil {
 				return nil, fmt.Errorf("campaign: point %s: %w", pt.Key(), err)
 			}
@@ -120,4 +98,19 @@ func Materialize(s *Spec, pt Point) (*config.System, error) {
 		return nil, fmt.Errorf("campaign: point %s: %w", pt.Key(), err)
 	}
 	return sys, nil
+}
+
+// axisTargets resolves a base-system axis to the config.ParamTargets it
+// sets on sys: a target: axis to its one target, wcet_pct (already the
+// spelling of the global WCET scale) to that target, and quantum to the
+// quantum of every round-robin partition of sys.
+func axisTargets(param string, sys *config.System) ([]*config.ParamTarget, error) {
+	if param == ParamQuantum {
+		return config.QuantumTargets(sys), nil
+	}
+	t, err := config.ParseParamTarget(strings.TrimPrefix(param, TargetPrefix))
+	if err != nil {
+		return nil, err
+	}
+	return []*config.ParamTarget{t}, nil
 }

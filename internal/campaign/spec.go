@@ -3,11 +3,12 @@
 // one deterministic NSA interpretation decides one configuration — makes a
 // configuration space a pure function landscape, and a campaign is a
 // strategy for mapping it: an exhaustive grid, a breakdown binary search
-// for the critical value of one parameter (the generalization of
-// analysis.CriticalScaling to any scalar axis), or an adaptive frontier
-// bisection tracing the schedulable/unschedulable boundary across two
-// parameters, as in parametric schedulability analyses of avionics
-// systems (PAPERS.md: André et al., Han et al.).
+// for the critical value of one parameter (the classic WCET-scaling
+// sensitivity search, generalized to any scalar axis; cmd/sensitivity is
+// its front end), or an adaptive frontier bisection tracing the
+// schedulable/unschedulable boundary across two parameters, as in
+// parametric schedulability analyses of avionics systems (PAPERS.md:
+// André et al., Han et al.).
 //
 // Campaign identity is content-addressed: Spec.Fingerprint hashes the
 // semantically significant fields (mirroring config.Fingerprint), so the
@@ -46,9 +47,9 @@ const (
 
 // Parameter names an axis can vary.
 const (
-	// ParamWCETPct scales every WCET of the base system to v percent
-	// (analysis.ScaleWCET). Requires Base.
-	ParamWCETPct = "wcet_pct"
+	// ParamWCETPct scales every WCET of the base system to v percent: the
+	// config.TargetWCETPct target, under the same spelling. Requires Base.
+	ParamWCETPct = config.TargetWCETPct
 	// ParamUtil synthesizes a UUniFast task set with total utilization v
 	// (internal/gen). Requires Generator.
 	ParamUtil = "util"
@@ -56,7 +57,8 @@ const (
 	// Requires Generator.
 	ParamTasks = "tasks"
 	// ParamQuantum sets the round-robin quantum of every RR partition of
-	// the base system to round(v) ticks. Requires Base.
+	// the base system to round(v) ticks: one config.TargetQuantum target
+	// per RR partition. Requires Base.
 	ParamQuantum = "quantum"
 )
 
@@ -243,32 +245,10 @@ func (s *Spec) Validate() error {
 }
 
 // checkAxis validates one axis; grid selects grid-axis rules (Step) over
-// bisected-axis rules (Tol).
+// bisected-axis rules (Tol). Base-system axes resolve to their
+// config.ParamTargets (axisTargets), the same ones Materialize applies.
 func (s *Spec) checkAxis(a *Axis, grid bool) error {
-	if spell, ok := strings.CutPrefix(a.Param, TargetPrefix); ok {
-		t, err := config.ParseParamTarget(spell)
-		if err != nil {
-			return fmt.Errorf("campaign: axis %q: %w", a.Param, err)
-		}
-		if s.Base == nil {
-			return fmt.Errorf("campaign: axis %q requires a base system", a.Param)
-		}
-		if err := t.Check(s.Base); err != nil {
-			return fmt.Errorf("campaign: axis %q: %w", a.Param, err)
-		}
-		if a.Min < t.MinValue() {
-			return fmt.Errorf("campaign: axis %q minimum %g must be >= %g", a.Param, a.Min, t.MinValue())
-		}
-		return s.checkAxisBounds(a, grid)
-	}
 	switch a.Param {
-	case ParamWCETPct, ParamQuantum:
-		if s.Base == nil {
-			return fmt.Errorf("campaign: axis %q requires a base system", a.Param)
-		}
-		if a.Min < 1 {
-			return fmt.Errorf("campaign: axis %q minimum %g must be >= 1", a.Param, a.Min)
-		}
 	case ParamUtil, ParamTasks:
 		if s.Generator == nil {
 			return fmt.Errorf("campaign: axis %q requires a generator", a.Param)
@@ -276,10 +256,33 @@ func (s *Spec) checkAxis(a *Axis, grid bool) error {
 		if a.Min <= 0 {
 			return fmt.Errorf("campaign: axis %q minimum %g must be positive", a.Param, a.Min)
 		}
+		return s.checkAxisBounds(a, grid)
+	case ParamWCETPct, ParamQuantum:
 	case "":
 		return fmt.Errorf("campaign: axis needs a param")
 	default:
-		return fmt.Errorf("campaign: unknown axis param %q", a.Param)
+		if !strings.HasPrefix(a.Param, TargetPrefix) {
+			return fmt.Errorf("campaign: unknown axis param %q", a.Param)
+		}
+	}
+	if s.Base == nil {
+		return fmt.Errorf("campaign: axis %q requires a base system", a.Param)
+	}
+	ts, err := axisTargets(a.Param, s.Base)
+	if err != nil {
+		return fmt.Errorf("campaign: axis %q: %w", a.Param, err)
+	}
+	// Every kind but offset has a floor of 1; a quantum axis over a base
+	// without round-robin partitions resolves to no targets but keeps it.
+	lowest := 1.0
+	for _, t := range ts {
+		if err := t.Check(s.Base); err != nil {
+			return fmt.Errorf("campaign: axis %q: %w", a.Param, err)
+		}
+		lowest = t.MinValue()
+	}
+	if a.Min < lowest {
+		return fmt.Errorf("campaign: axis %q minimum %g must be >= %g", a.Param, a.Min, lowest)
 	}
 	return s.checkAxisBounds(a, grid)
 }

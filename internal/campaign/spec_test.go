@@ -228,6 +228,43 @@ func TestMaterializeQuantumAndScale(t *testing.T) {
 	if base.Partitions[0].Quantum != 2 || base.Partitions[0].Tasks[0].WCET[0] != 10 {
 		t.Fatal("base mutated by materialization")
 	}
+	// A scale whose WCET product overflows int64 fails to materialize
+	// instead of wrapping into a small, schedulable-looking WCET.
+	if _, err := Materialize(s, Point{ParamWCETPct: 1e18}); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("wcet_pct=1e18: err = %v, want an overflow error", err)
+	}
+}
+
+// TestLegacyAxesAreTargets: the wcet_pct and quantum axes are spellings of
+// config.ParamTargets, so they materialize the very configurations of
+// target:wcet_pct and target:quantum:<P> (one per round-robin partition),
+// alone and combined.
+func TestLegacyAxesAreTargets(t *testing.T) {
+	base := specSystem()
+	rr := base.Partitions[0]
+	rr.Name, rr.Policy, rr.Quantum = "P2", config.RR, 2
+	base.Partitions[0].Windows = []config.Window{{Start: 0, End: 20}}
+	rr.Windows = []config.Window{{Start: 20, End: 40}}
+	base.Partitions = append(base.Partitions, rr)
+	s := &Spec{Name: "legacy", Strategy: StrategyGrid, Base: base}
+	for _, tc := range []struct{ legacy, target Point }{
+		{Point{ParamWCETPct: 150}, Point{"target:wcet_pct": 150}},
+		{Point{ParamWCETPct: 1}, Point{"target:wcet_pct": 1}},
+		{Point{ParamQuantum: 3}, Point{"target:quantum:P2": 3}},
+		{Point{ParamWCETPct: 250, ParamQuantum: 4}, Point{"target:wcet_pct": 250, "target:quantum:P2": 4}},
+	} {
+		a, err := Materialize(s, tc.legacy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Materialize(s, tc.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Fingerprint() != b.Fingerprint() {
+			t.Errorf("%s and %s materialize different configurations", tc.legacy.Key(), tc.target.Key())
+		}
+	}
 }
 
 // TestTargetAxisValidation covers "target:" axes: a well-formed target
@@ -253,6 +290,8 @@ func TestTargetAxisValidation(t *testing.T) {
 		{mk("target:wcet:P1.nope", 1), "no task named"},
 		{mk("target:wcet:nope.T", 1), "no partition named"},
 		{mk("target:wcet:P1.T", 0), ">= 1"},
+		{mk(ParamWCETPct, 0), ">= 1"},
+		{mk(ParamQuantum, 0), ">= 1"},
 		{&Spec{Name: "t", Strategy: StrategyGrid,
 			Generator: &Generator{Periods: []int64{10}},
 			Axes:      []Axis{{Param: "target:wcet:P1.T", Min: 1, Max: 4, Step: 1}}},

@@ -12,7 +12,7 @@ import (
 //   - grid evaluates every cross-product point — the ground truth, at
 //     exponential cost in axis count;
 //   - bisect finds the breakdown value of one parameter in O(log range)
-//     runs, generalizing analysis.CriticalScaling to any scalar axis;
+//     runs — on wcet_pct, the critical WCET scaling of cmd/sensitivity;
 //   - frontier traces the schedulable/unschedulable boundary over two
 //     parameters by bisecting one axis per grid row of the other, seeding
 //     each row's bracket from the neighbor row's critical point (the

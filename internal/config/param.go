@@ -19,7 +19,7 @@ import (
 //	offset:<partition>           shift of every window of the partition
 //	window:<partition>.<index>   width of the partition's index-th window
 //	quantum:<partition>          the partition's round-robin quantum
-//	wcet_pct                     global WCET scale in percent (ScaleWCET semantics)
+//	wcet_pct                     global WCET scale in percent: c*pct/100, at least 1
 //
 // The paper's model has no per-task release offset (releases are anchored
 // at window-schedule time zero), so the .imi models' Off_i maps to the
@@ -96,6 +96,19 @@ func ParseParamTarget(s string) (*ParamTarget, error) {
 	}
 }
 
+// QuantumTargets returns one quantum:<P> target per round-robin partition
+// of sys, in partition order: a system-wide quantum expressed as targets.
+// Built directly rather than parsed, so any partition name resolves.
+func QuantumTargets(sys *System) []*ParamTarget {
+	var ts []*ParamTarget
+	for i := range sys.Partitions {
+		if p := &sys.Partitions[i]; p.Policy == RR {
+			ts = append(ts, &ParamTarget{raw: TargetQuantum + ":" + p.Name, kind: TargetQuantum, part: p.Name})
+		}
+	}
+	return ts
+}
+
 // String returns the original spelling.
 func (t *ParamTarget) String() string { return t.raw }
 
@@ -116,43 +129,48 @@ func (t *ParamTarget) MinValue() float64 {
 // dangling references. Kind-specific structural requirements (an RR
 // policy for quantum, an in-range window index) are checked too.
 func (t *ParamTarget) Check(sys *System) error {
+	_, _, err := t.resolve(sys)
+	return err
+}
+
+// resolve finds the partition the target names in sys and, for the task
+// kinds, its task — both nil for wcet_pct — under Check's rules.
+func (t *ParamTarget) resolve(sys *System) (*Partition, *Task, error) {
 	if t.kind == TargetWCETPct {
-		return nil
+		return nil, nil, nil
 	}
-	pi := -1
-	for i := range sys.Partitions {
-		if sys.Partitions[i].Name == t.part {
-			pi = i
-			break
+	for pi := range sys.Partitions {
+		p := &sys.Partitions[pi]
+		if p.Name != t.part {
+			continue
 		}
-	}
-	if pi < 0 {
-		return fmt.Errorf("config: target %q: no partition named %q", t.raw, t.part)
-	}
-	p := &sys.Partitions[pi]
-	switch t.kind {
-	case TargetWCET, TargetPeriod, TargetDeadline:
-		for i := range p.Tasks {
-			if p.Tasks[i].Name == t.task {
-				return nil
+		switch t.kind {
+		case TargetWCET, TargetPeriod, TargetDeadline:
+			for i := range p.Tasks {
+				if p.Tasks[i].Name == t.task {
+					return p, &p.Tasks[i], nil
+				}
+			}
+			return nil, nil, fmt.Errorf("config: target %q: partition %q has no task named %q", t.raw, t.part, t.task)
+		case TargetWindow:
+			if t.win >= len(p.Windows) {
+				return nil, nil, fmt.Errorf("config: target %q: partition %q has %d windows", t.raw, t.part, len(p.Windows))
+			}
+		case TargetQuantum:
+			if p.Policy != RR {
+				return nil, nil, fmt.Errorf("config: target %q: partition %q is not round-robin", t.raw, t.part)
 			}
 		}
-		return fmt.Errorf("config: target %q: partition %q has no task named %q", t.raw, t.part, t.task)
-	case TargetWindow:
-		if t.win >= len(p.Windows) {
-			return fmt.Errorf("config: target %q: partition %q has %d windows", t.raw, t.part, len(p.Windows))
-		}
-	case TargetQuantum:
-		if p.Policy != RR {
-			return fmt.Errorf("config: target %q: partition %q is not round-robin", t.raw, t.part)
-		}
+		return p, nil, nil
 	}
-	return nil
+	return nil, nil, fmt.Errorf("config: target %q: no partition named %q", t.raw, t.part)
 }
 
 // Apply sets the targeted field of sys to round(v), mutating sys in
 // place — clone the base system first (System.Clone). It rejects values
-// below MinValue; structural validity of the mutated system (deadline ≤
+// below MinValue, the references Check rejects, and a wcet_pct scale whose
+// product overflows int64 (a wrapped product would pass Validate as some
+// small WCET); structural validity of the mutated system (deadline ≤
 // period, windows within [0, L], …) is the caller's Validate call, run
 // once after all targets of a point are applied.
 func (t *ParamTarget) Apply(sys *System, v float64) error {
@@ -160,67 +178,42 @@ func (t *ParamTarget) Apply(sys *System, v float64) error {
 	if float64(n) < t.MinValue() {
 		return fmt.Errorf("config: target %q: value %g below minimum %g", t.raw, v, t.MinValue())
 	}
-	if t.kind == TargetWCETPct {
+	p, tk, err := t.resolve(sys)
+	if err != nil {
+		return err
+	}
+	switch t.kind {
+	case TargetWCETPct:
 		for i := range sys.Partitions {
 			for j := range sys.Partitions[i].Tasks {
 				w := sys.Partitions[i].Tasks[j].WCET
 				for k, c := range w {
-					scaled := c * n / 100
-					if scaled < 1 {
-						scaled = 1
+					if c > math.MaxInt64/n {
+						return fmt.Errorf("config: target %q: %d%% of WCET %d overflows int64", t.raw, n, c)
 					}
-					w[k] = scaled
+					w[k] = max(c*n/100, 1)
 				}
 			}
 		}
-		return nil
-	}
-	pi := -1
-	for i := range sys.Partitions {
-		if sys.Partitions[i].Name == t.part {
-			pi = i
-			break
-		}
-	}
-	if pi < 0 {
-		return fmt.Errorf("config: target %q: no partition named %q", t.raw, t.part)
-	}
-	p := &sys.Partitions[pi]
-	switch t.kind {
 	case TargetOffset:
 		for i := range p.Windows {
 			p.Windows[i].Start += n
 			p.Windows[i].End += n
 		}
-		return nil
 	case TargetWindow:
-		if t.win >= len(p.Windows) {
-			return fmt.Errorf("config: target %q: partition %q has %d windows", t.raw, t.part, len(p.Windows))
-		}
 		p.Windows[t.win].End = p.Windows[t.win].Start + n
-		return nil
 	case TargetQuantum:
 		p.Quantum = n
-		return nil
-	}
-	for i := range p.Tasks {
-		tk := &p.Tasks[i]
-		if tk.Name != t.task {
-			continue
+	case TargetWCET:
+		for k := range tk.WCET {
+			tk.WCET[k] = n
 		}
-		switch t.kind {
-		case TargetWCET:
-			for k := range tk.WCET {
-				tk.WCET[k] = n
-			}
-		case TargetPeriod:
-			tk.Period = n
-		case TargetDeadline:
-			tk.Deadline = n
-		}
-		return nil
+	case TargetPeriod:
+		tk.Period = n
+	case TargetDeadline:
+		tk.Deadline = n
 	}
-	return fmt.Errorf("config: target %q: partition %q has no task named %q", t.raw, t.part, t.task)
+	return nil
 }
 
 // Clone returns a deep copy of the system: mutating any slice-backed

@@ -105,7 +105,7 @@ func TestParamTargetApply(t *testing.T) {
 	if sys := apply(t, "quantum:P2", 4); sys.Partitions[1].Quantum != 4 {
 		t.Errorf("quantum target: got %d, want 4", sys.Partitions[1].Quantum)
 	}
-	// wcet_pct matches analysis.ScaleWCET semantics: c*pct/100, clamped to 1.
+	// wcet_pct scales every WCET to c*pct/100, clamped to 1.
 	sys := apply(t, "wcet_pct", 150)
 	if got := sys.Partitions[0].Tasks[0].WCET[0]; got != 3 { // 2*150/100
 		t.Errorf("wcet_pct 150: task a WCET = %d, want 3", got)
@@ -117,9 +117,24 @@ func TestParamTargetApply(t *testing.T) {
 	if got := sys.Partitions[0].Tasks[0].WCET[0]; got != 1 { // clamp to 1
 		t.Errorf("wcet_pct 10: task a WCET = %d, want 1 (clamped)", got)
 	}
+	sys = apply(t, "wcet_pct", 1)
+	if got := sys.Partitions[0].Tasks[1].WCET[0]; got != 1 { // 3*1/100 = 0, clamped
+		t.Errorf("wcet_pct 1: task b WCET = %d, want 1 (clamped)", got)
+	}
+	if got := base.Partitions[0].Tasks[0].WCET[0]; got != 2 {
+		t.Errorf("scaling a clone changed the base WCET to %d", got)
+	}
+	// A product past int64 is an error, not a wrapped (and then clamped)
+	// WCET: 1000 at 1e16% once materialized as WCET 1.
+	pt, _ := ParseParamTarget("wcet_pct")
+	big := base.Clone()
+	big.Partitions[0].Tasks[0].WCET[0] = 1000
+	if err := pt.Apply(big, 1e16); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("wcet_pct 1e16 of WCET 1000: err = %v, want an overflow error", err)
+	}
 
 	// Below-minimum values are rejected; offset accepts 0.
-	pt, _ := ParseParamTarget("wcet:P1.a")
+	pt, _ = ParseParamTarget("wcet:P1.a")
 	if err := pt.Apply(base.Clone(), 0); err == nil {
 		t.Error("wcet value 0 accepted, want error")
 	}

@@ -15,21 +15,19 @@ import (
 // state the runtime was left in is dropped with it, and the next run of
 // that configuration rebuilds from scratch.
 type engineCache struct {
-	cap    int
-	keys   []string // LRU order, most recently used last
-	m      map[string]*model.Prepared
-	onHit  func()
-	reuses int64
+	cap   int
+	keys  []string // LRU order, most recently used last
+	m     map[string]*model.Prepared
+	onHit func()
 }
 
-// defaultEngineCache is the per-worker capacity when Options.EngineCache
-// is zero. Small on purpose: each entry holds a full compiled network.
+// defaultEngineCache is the per-worker capacity: repeat runs of a
+// configuration Reset+Run a persistent engine instead of rebuilding it,
+// amortizing the construction cost that dominates short runs. Small on
+// purpose: each entry holds a full compiled network.
 const defaultEngineCache = 4
 
 func newEngineCache(capacity int, onHit func()) *engineCache {
-	if capacity <= 0 {
-		return nil
-	}
 	return &engineCache{cap: capacity, m: make(map[string]*model.Prepared, capacity), onHit: onHit}
 }
 
@@ -46,7 +44,6 @@ func (c *engineCache) get(key string) *model.Prepared {
 			break
 		}
 	}
-	c.reuses++
 	if c.onHit != nil {
 		c.onHit()
 	}
@@ -73,14 +70,11 @@ type engineCacheCtxKey struct{}
 
 // withEngineCache attaches a worker's engine cache to a run context.
 func withEngineCache(ctx context.Context, c *engineCache) context.Context {
-	if c == nil {
-		return ctx
-	}
 	return context.WithValue(ctx, engineCacheCtxKey{}, c)
 }
 
 // engineCacheFrom retrieves the worker's engine cache, nil outside a
-// pool worker (direct Runner.Run calls keep the one-shot path).
+// pool worker (direct Runner.Run calls prepare a one-shot engine).
 func engineCacheFrom(ctx context.Context) *engineCache {
 	c, _ := ctx.Value(engineCacheCtxKey{}).(*engineCache)
 	return c

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stopwatchsim/internal/model"
+	"stopwatchsim/internal/nsa"
 )
 
 // TestPoolEngineReuse drives the per-worker prepared-engine cache through
@@ -64,22 +65,30 @@ func TestPoolEngineReuse(t *testing.T) {
 	}
 }
 
-// TestPoolEngineReuseDisabled pins the opt-out: EngineCache < 0 keeps
-// every run on the one-shot build path.
-func TestPoolEngineReuseDisabled(t *testing.T) {
-	p := New(Options{Workers: 1, CacheSize: -1, EngineCache: -1})
-	defer p.Close()
-	for i := 0; i < 2; i++ {
-		jb, err := p.Submit(ConfigRun{Sys: testSystem(9)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Wait(context.Background(), jb.ID); err != nil {
-			t.Fatal(err)
-		}
+// TestConfigRunOutsidePool pins the direct path library callers take:
+// ConfigRun.Run outside a pool worker has no engine cache, prepares a
+// one-shot engine, and answers exactly as a pooled run does.
+func TestConfigRunOutsidePool(t *testing.T) {
+	direct, err := ConfigRun{Sys: testSystem(9)}.Run(context.Background(), nsa.Budget{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := p.Metrics().EngineReuses; got != 0 {
-		t.Fatalf("EngineReuses = %d with reuse disabled, want 0", got)
+	p := New(Options{Workers: 1, CacheSize: -1})
+	defer p.Close()
+	jb, err := p.Submit(ConfigRun{Sys: testSystem(9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := p.Wait(context.Background(), jb.ID)
+	if err != nil || pooled.Status != StatusDone {
+		t.Fatalf("pooled run: %v %v", err, pooled.Err)
+	}
+	if direct.Verdict != pooled.Outcome.Verdict || direct.Engine != pooled.Outcome.Engine ||
+		!reflect.DeepEqual(direct.Trace.Events, pooled.Outcome.Trace.Events) {
+		t.Fatal("direct run diverged from the pooled run")
+	}
+	if direct.Telemetry == nil || len(direct.Telemetry.Phases) == 0 {
+		t.Fatal("direct run carries no telemetry")
 	}
 }
 
@@ -109,8 +118,5 @@ func TestEngineCacheEviction(t *testing.T) {
 	}
 	if c.get("b") != nil || hits != 1 {
 		t.Fatal("checked-out entry served again")
-	}
-	if newEngineCache(-1, nil) != nil || newEngineCache(0, nil) != nil {
-		t.Fatal("non-positive capacity must disable the cache")
 	}
 }

@@ -112,60 +112,46 @@ type ConfigRun struct {
 func (r ConfigRun) Key() string { return r.Sys.Fingerprint() }
 
 // Run executes the pipeline under a phase timeline and an engine probe;
-// the resulting RunReport is attached to the outcome. Inside a pool
-// worker the run consults the worker's prepared-engine cache: a repeat
-// of a cached configuration Reset+Runs its persistent engine instead of
-// rebuilding the network (the build phase then contributes nothing to
-// the timeline — truthfully, since no build happened).
+// the resulting RunReport is attached to the outcome. Every run
+// interprets a prepared engine (model.Prepare). Inside a pool worker it
+// checks the engine out of the worker's cache and puts it back after a
+// successful run: a repeat of a cached configuration Reset+Runs its
+// persistent engine instead of rebuilding the network (the build phase
+// then contributes nothing to the timeline — truthfully, since no build
+// happened). Outside a pool the prepared engine is used once.
 func (r ConfigRun) Run(ctx context.Context, b nsa.Budget) (*Outcome, error) {
 	start := time.Now()
 	tl := obs.NewTimeline()
 
-	var (
-		tr    *trace.Trace
-		res   nsa.Result
-		probe *obs.Probe
-	)
-	if ec := engineCacheFrom(ctx); ec != nil {
-		key := r.Sys.Fingerprint() + "/" + r.Backend.String()
-		prep := ec.get(key)
-		if prep == nil {
-			sp := tl.Start(obs.PhaseBuild)
-			var err error
-			prep, err = model.Prepare(r.Sys, r.Backend)
-			sp.End()
-			if err != nil {
-				return nil, err
-			}
-		}
-		sp := tl.Start(obs.PhaseInterpret)
-		var err error
-		tr, res, probe, err = prep.Simulate(ctx, b)
-		sp.End()
-		if err != nil {
-			// A failed or canceled run may leave the runtime mid-flight;
-			// the checked-out engine is simply not returned, so the next
-			// run of this configuration rebuilds cleanly.
-			return nil, err
-		}
-		ec.put(key, prep)
-	} else {
-		probe = &obs.Probe{}
+	ec := engineCacheFrom(ctx)
+	var key string
+	var prep *model.Prepared
+	if ec != nil {
+		key = r.Sys.Fingerprint() + "/" + r.Backend.String()
+		prep = ec.get(key)
+	}
+	if prep == nil {
 		sp := tl.Start(obs.PhaseBuild)
-		m, err := model.Build(r.Sys)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		sp = tl.Start(obs.PhaseInterpret)
-		tr, res, err = m.SimulateEngine(ctx, nsa.Options{Budget: b, Probe: probe, Backend: r.Backend,
-			Logger: obs.LoggerFrom(ctx), Flight: obs.FlightFrom(ctx)})
+		var err error
+		prep, err = model.Prepare(r.Sys, r.Backend)
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
 	}
-	sp := tl.Start(obs.PhaseCheck)
+	sp := tl.Start(obs.PhaseInterpret)
+	tr, res, probe, err := prep.Simulate(ctx, b)
+	sp.End()
+	if err != nil {
+		// A failed or canceled run may leave the runtime mid-flight; the
+		// checked-out engine is simply not returned, so the next run of
+		// this configuration rebuilds cleanly.
+		return nil, err
+	}
+	if ec != nil {
+		ec.put(key, prep)
+	}
+	sp = tl.Start(obs.PhaseCheck)
 	a, err := trace.Analyze(r.Sys, tr)
 	sp.End()
 	if err != nil {

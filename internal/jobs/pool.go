@@ -88,12 +88,6 @@ type Options struct {
 	// the fault.NewBreaker defaults (5 failures, 5s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// EngineCache bounds each worker's cache of prepared engines
-	// (model.Prepared, one compiled network per entry): repeat runs of a
-	// configuration Reset+Run a persistent engine instead of rebuilding it,
-	// amortizing the construction cost that dominates short runs. 0 means
-	// 4 entries per worker; negative disables reuse entirely.
-	EngineCache int
 	// Tracer, when non-nil, collects cross-layer spans: submissions carry
 	// a TraceContext (SubmitTraced) and the pool records submit, cache-
 	// tier, queue, run, store and engine-phase spans under it. Nil — the
@@ -502,11 +496,7 @@ func (p *Pool) worker() {
 	defer p.wg.Done()
 	// Each worker owns a small cache of prepared engines, unshared and
 	// unlocked; ConfigRun checks engines out through the run context.
-	capacity := p.opts.EngineCache
-	if capacity == 0 {
-		capacity = defaultEngineCache
-	}
-	ec := newEngineCache(capacity, p.metrics.engineReuse) // nil when capacity < 0
+	ec := newEngineCache(defaultEngineCache, p.metrics.engineReuse)
 	// Each worker also owns one engine flight recorder, reset per attempt
 	// and dumped into a postmortem when the attempt dies badly.
 	var efl *obs.FlightRecorder
